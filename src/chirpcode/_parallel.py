@@ -17,9 +17,9 @@ def default_jobs() -> int:
 
 
 def pmap(fn, items, jobs: int):
-    """Map preserving order; uses worker processes when jobs > 1."""
+    """``[fn(*args) for args in items]``; uses worker processes when jobs > 1."""
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fn(*args) for args in items]
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))

@@ -41,12 +41,11 @@ from .dictionary import (
     make_dictionary,
     n_frames,
     overlap_add,
-    reconstruct,
     signal_windows,
 )
 from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError, SynthesisError
-from .lca import LcaConfig, LcaState, encode, energy
-from .metrics import snr
+from .lca import LcaConfig, LcaState
+from .metrics import corpus_signals, encode_and_grade
 
 MODE_ALCA = "alca"
 MODE_ALCA_CF = "alca-cf"
@@ -338,28 +337,30 @@ def adamax_step(
     params: ChannelParams,
     grads: ParamGradients,
     moments: AdamaxState,
-    lr_mod: float,
-    lr_cf: float,
+    config: AdaptConfig,
     step_index: int,
-    bounds: ParamBounds,
 ):
-    """One Adamax update of all parameter vectors, then clamp to bounds.
+    """One Adamax update of the adapted parameter vectors, then clamp them to bounds.
 
     ``step_index`` is 1-based (moments are zero before the first step). The
-    modulation parameters (c, b, l) use ``lr_mod``; centre frequencies use
-    ``lr_cf``. A lane with zero gradient is left bit-identical.
+    modulation parameters (c, b, l) use ``config.lr_mod``. In ALCA-CF mode the
+    centre frequencies are stepped too, with ``config.lr_cf``; in ALCA mode
+    they are neither stepped nor clamped, so they stay bit-identical. A lane
+    whose gradient has been zero at every step so far, and that lies inside
+    its bounds, is left bit-identical.
     """
     if step_index < 1:
         raise OptimizerError(f"step_index must be >= 1, got {step_index}")
     correction = 1.0 - ADAMAX_BETA1 ** step_index
-    updated = {}
-    for name in PARAM_NAMES:
-        lr = lr_cf if name == "f" else lr_mod
+    adapted = PARAM_NAMES if config.mode == MODE_ALCA_CF else ("c", "b", "l")
+    updated = {name: getattr(params, name) for name in PARAM_NAMES}
+    for name in adapted:
+        lr = config.lr_cf if name == "f" else config.lr_mod
         g = grads.get(name)
         m = ADAMAX_BETA1 * moments.m[name] + (1.0 - ADAMAX_BETA1) * g
         u = np.maximum(ADAMAX_BETA2 * moments.u[name], np.abs(g))
         theta = getattr(params, name) - (lr / correction) * m / (u + ADAMAX_EPS)
-        lo, hi = getattr(bounds, name)
+        lo, hi = getattr(config.bounds, name)
         theta = np.clip(theta, lo, hi)
         if not np.all(np.isfinite(theta)):
             raise OptimizerError(f"non-finite update for parameter {name!r}")
@@ -379,28 +380,12 @@ class EpochStats:
     mean_active_count: float
 
 
-def _utterance_id(item, index: int) -> str:
-    return getattr(item, "id", None) or f"utterance[{index}]"
-
-
-def _utterance_samples(item) -> np.ndarray:
-    return np.asarray(getattr(item, "samples", item), dtype=float)
-
-
-def _encode_and_grade(signal, d, kernel, lca_cfg, adapt_cfg):
-    code, state = encode(
-        signal, d, lca_cfg, kernel=kernel, trace_window=adapt_cfg.tbptt_window
-    )
-    grads = energy_gradient(signal, d, state, adapt_cfg, kernel=kernel)
-    e = energy(signal, code, d, lca_cfg.lam, adapt_cfg.alpha)
-    recon = reconstruct(d, code, length=len(signal))
-    return grads, e, snr(signal, recon), code.n_events
-
-
-def _adapt_task(args):
-    uid, signal, d, kernel, lca_cfg, adapt_cfg = args
+def _adapt_task(uid, signal, d, kernel, lca_cfg, adapt_cfg):
     try:
-        return _encode_and_grade(signal, d, kernel, lca_cfg, adapt_cfg)
+        report, _, state = encode_and_grade(
+            uid, signal, d, lca_cfg, kernel, adapt_cfg.alpha, adapt_cfg.tbptt_window
+        )
+        return report, energy_gradient(signal, d, state, adapt_cfg, kernel=kernel)
     except ChirpcodeError as exc:
         raise type(exc)(f"utterance {uid!r}: {exc}") from exc
 
@@ -420,15 +405,7 @@ def adapt_corpus(
     corpus = list(corpus)
     if not corpus:
         raise ConfigError("corpus is empty")
-    signals = [_utterance_samples(item) for item in corpus]
-    ids = [_utterance_id(item, i) for i, item in enumerate(corpus)]
-    for i, item in enumerate(corpus):
-        rate = getattr(item, "sample_rate", None)
-        if rate is not None and int(rate) != int(d0.sample_rate):
-            raise ConfigError(
-                f"utterance {ids[i]!r} has rate {rate}, "
-                f"dictionary expects {d0.sample_rate}"
-            )
+    ids, signals = corpus_signals(corpus, d0.sample_rate)
 
     rng = np.random.default_rng(adapt_cfg.seed)
     params = ChannelParams.from_dictionary(d0)
@@ -447,11 +424,11 @@ def adapt_corpus(
                 (ids[idx], signals[idx], d, kernel, lca_cfg, adapt_cfg) for idx in batch
             ]
             batch_grads = []
-            for grads, e, snr_db, n_active in pmap(_adapt_task, tasks, jobs):
+            for report, grads in pmap(_adapt_task, tasks, jobs):
                 batch_grads.append(grads)
-                energies.append(e)
-                snrs.append(snr_db)
-                actives.append(n_active)
+                energies.append(report.energy)
+                snrs.append(report.snr_db)
+                actives.append(report.active_count)
             mean_grads = ParamGradients(
                 d_c=np.mean([g.d_c for g in batch_grads], axis=0),
                 d_b=np.mean([g.d_b for g in batch_grads], axis=0),
@@ -459,10 +436,7 @@ def adapt_corpus(
                 d_f=np.mean([g.d_f for g in batch_grads], axis=0),
             )
             step_index += 1
-            params, moments = adamax_step(
-                params, mean_grads, moments,
-                adapt_cfg.lr_mod, adapt_cfg.lr_cf, step_index, adapt_cfg.bounds,
-            )
+            params, moments = adamax_step(params, mean_grads, moments, adapt_cfg, step_index)
             d = make_dictionary(params.to_channels(), d.filter_len, d.stride, d.sample_rate)
             kernel = gram_kernel(d)
         history.append(

@@ -24,6 +24,7 @@ from .adapt import (
 )
 from .audio import load_corpus, load_wav, save_wav
 from .dictionary import (
+    gram_kernel,
     init_gammatone_dictionary,
     load_dictionary,
     reconstruct,
@@ -36,10 +37,10 @@ from .errors import (
     ConfigError,
     ParameterError,
 )
-from .lca import LcaConfig, encode, energy, export_events_csv, load_code, save_code
+from .lca import LcaConfig, export_events_csv, load_code, save_code
 from .metrics import (
     benchmark,
-    snr,
+    encode_and_grade,
     write_report_csv,
     write_report_json,
     write_summary_csv,
@@ -170,16 +171,11 @@ def cmd_build_dict(args) -> int:
 
 # -------------------------------------------------------------------- encode
 
-def _encode_task(task):
-    utt, d, kernel, lca_cfg, alpha = task
-    code, _ = encode(utt.samples, d, lca_cfg, kernel=kernel)
-    recon = reconstruct(d, code, length=len(utt.samples))
-    return (
-        utt.id,
-        code,
-        snr(utt.samples, recon),
-        energy(utt.samples, code, d, lca_cfg.lam, alpha),
-    )
+def _report_and_code(*args):
+    # Drop the solver state in the worker: it holds dense arrays, so only the
+    # report and the sparse code are kept for the whole corpus.
+    report, code, _ = encode_and_grade(*args)
+    return report, code
 
 
 def cmd_encode(args) -> int:
@@ -191,19 +187,19 @@ def cmd_encode(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    from .dictionary import gram_kernel
-
     kernel = gram_kernel(d)
-    tasks = [(u, d, kernel, lca_cfg, float(cfg["alpha"])) for u in utterances]
-    results = pmap(_encode_task, tasks, _jobs(args))
+    tasks = [(u.id, u.samples, d, lca_cfg, kernel, float(cfg["alpha"])) for u in utterances]
+    results = pmap(_report_and_code, tasks, _jobs(args))
 
     report_path = args.report or out_dir / "encode_report.csv"
     with open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["utterance", "snr_db", "active_count", "n_frames", "energy"])
-        for utt_id, code, snr_db, e in results:
-            save_code(code, out_dir / f"{utt_id}.code.json")
-            writer.writerow([utt_id, repr(snr_db), code.n_events, code.n_frames, repr(e)])
+        for row, code in results:
+            save_code(code, out_dir / f"{row.id}.code.json")
+            writer.writerow(
+                [row.id, repr(row.snr_db), row.active_count, row.n_frames, repr(row.energy)]
+            )
     print(f"encoded {len(results)} utterance(s) into {out_dir} (report: {report_path})")
     return 0
 

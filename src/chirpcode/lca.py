@@ -8,9 +8,9 @@ with explicit Euler steps of size eta = dt/tau, applying a hard threshold to
 potentials after every step. Two energies appear here and they are not the
 same thing:
 
-* ``trace_energy`` is what the hard-threshold dynamics actually descend:
-  residual power plus a fixed cost of lam^2/2 per active unit. It drives the
-  convergence test and the per-iteration energy trace.
+* ``trace_energy`` is what the hard-threshold dynamics approximately descend
+  (a step can raise it slightly): residual power plus a fixed cost of lam^2/2
+  per active unit. It drives the convergence test and the per-iteration trace.
 * ``energy`` is the adaptation objective: residual power plus an
   L1-weighted sparsity cost alpha * lam * sum|a|. Filter-parameter gradients
   are taken against this one.
@@ -62,6 +62,7 @@ class LcaConfig:
 class LcaState:
     """Solver state: potentials, activations, and the per-iteration energy trace.
 
+    ``inhibition`` is ``apply_kernel(kernel, a)``, kept current by ``lca_step``.
     ``a_history`` (when recording is enabled) keeps the most recent activation
     matrices, oldest first, starting from the all-zero initial state; the
     adaptation reverse pass consumes it. ``lam`` and ``eta`` record the run's
@@ -70,6 +71,7 @@ class LcaState:
 
     v: np.ndarray
     a: np.ndarray
+    inhibition: np.ndarray
     iter: int = 0
     energy_trace: list = field(default_factory=list)
     a_history: deque | None = None
@@ -150,28 +152,25 @@ def threshold(v: np.ndarray, lam: float) -> np.ndarray:
 
 
 def trace_energy(s: np.ndarray, a: np.ndarray, d: Dictionary, lam: float) -> float:
-    """Energy the hard-threshold dynamics descend: 1/2 ||s - recon||^2 + (lam^2/2) * nnz(a).
+    """Trace energy, by reconstruction: 1/2 ||s - recon||^2 + (lam^2/2) * nnz(a).
 
-    The per-active-unit constant is the cost implied by hard thresholding;
-    with it, threshold-crossing events can only lower the energy, which makes
-    the trace monotone and usable as a convergence signal.
+    The per-active-unit constant is the cost implied by hard thresholding.
+    ``encode`` computes this value from the drive and the inhibition instead;
+    this is the reference definition.
     """
-    # Overflow to inf is fine here: encode turns a non-finite energy into a
-    # SolverError, so divergence must not trip a warning first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        recon = overlap_add(d.atoms.T @ a, d.stride, len(s))
-        resid = s - recon
-        return 0.5 * float(resid @ resid) + 0.5 * lam * lam * np.count_nonzero(a)
+    resid = s - overlap_add(d.atoms.T @ a, d.stride, len(s))
+    return 0.5 * float(resid @ resid) + 0.5 * lam * lam * np.count_nonzero(a)
 
 
 def lca_step(state: LcaState, drive: np.ndarray, kernel: GramKernel, config: LcaConfig) -> LcaState:
     """One explicit-Euler update of the membrane potentials, then re-threshold.
 
-    Mutates and returns ``state``; the energy trace is maintained by the caller.
+    Uses ``state.inhibition`` and refreshes it for the new activations. Mutates
+    and returns ``state``; the energy trace is maintained by the caller.
     """
-    inhibition = apply_kernel(kernel, state.a)
-    state.v = state.v + config.eta * (drive - state.v - inhibition)
+    state.v = state.v + config.eta * (drive - state.v - state.inhibition)
     state.a = threshold(state.v, config.lam)
+    state.inhibition = apply_kernel(kernel, state.a)
     state.iter += 1
     return state
 
@@ -205,20 +204,28 @@ def encode(
 
     state = LcaState(
         v=np.zeros((n, t_frames)), a=np.zeros((n, t_frames)),
-        lam=config.lam, eta=config.eta,
+        inhibition=np.zeros((n, t_frames)), lam=config.lam, eta=config.eta,
     )
     if trace_window > 0:
         state.a_history = deque(maxlen=trace_window + 1)
         state.a_history.append(state.a.copy())
 
-    e_prev = trace_energy(s, state.a, d, config.lam)
+    e_prev = 0.5 * float(s @ s)
     state.energy_trace.append(e_prev)
     stoppable_silent = float(np.max(np.abs(drive), initial=0.0)) <= config.lam
     activated = False
 
     for it in range(1, config.max_iters + 1):
         lca_step(state, drive, kernel, config)
-        e = trace_energy(s, state.a, d, config.lam)
+        # trace_energy without reconstructing: unit-norm atoms make the
+        # synthesis Gram operator a -> a + K a, so 1/2 ||s - recon||^2 =
+        # 1/2 ||s||^2 - <a, drive> + 1/2 <a, a + K a>. Overflow is left to the
+        # finiteness test below, which reports divergence as a SolverError.
+        a = state.a
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = (state.energy_trace[0] - float(np.vdot(a, drive))
+                 + 0.5 * float(np.vdot(a, a + state.inhibition))
+                 + 0.5 * config.lam * config.lam * np.count_nonzero(a))
         if not math.isfinite(e):
             raise SolverError(
                 f"non-finite energy at iteration {it}; the Euler step eta={config.eta} "

@@ -12,7 +12,7 @@ import numpy as np
 from ._parallel import pmap
 from .dictionary import Dictionary, gram_kernel, reconstruct
 from .errors import ChirpcodeError, ConfigError, SignalError
-from .lca import LcaConfig, SparseCode, encode, energy
+from .lca import LcaConfig, SparseCode, encode
 
 
 def snr(s: np.ndarray, s_hat: np.ndarray) -> float:
@@ -24,11 +24,13 @@ def snr(s: np.ndarray, s_hat: np.ndarray) -> float:
     s_hat = np.asarray(s_hat, dtype=float)
     if s.shape != s_hat.shape:
         raise SignalError(f"signal shapes differ: {s.shape} vs {s_hat.shape}")
-    p_signal = float(s @ s)
+    diff = s - s_hat
+    return _snr_db(float(s @ s), float(diff @ diff))
+
+
+def _snr_db(p_signal: float, p_noise: float) -> float:
     if p_signal == 0.0:
         raise SignalError("reference signal is all-zero; SNR undefined")
-    diff = s - s_hat
-    p_noise = float(diff @ diff)
     if p_noise == 0.0:
         return math.inf
     return 10.0 * math.log10(p_signal / p_noise)
@@ -73,18 +75,43 @@ class BenchmarkReport:
         return bool(self.failures)
 
 
-def _grade_utterance(args):
-    name, utt_id, samples, d, kernel, lca_cfg = args
+def corpus_signals(corpus, sample_rate):
+    """(ids, float sample arrays) of a corpus of Utterances or bare arrays.
+
+    An item without an id is named by its position; a declared rate other
+    than ``sample_rate`` is a ConfigError.
+    """
+    ids, signals = [], []
+    for i, item in enumerate(corpus):
+        ids.append(getattr(item, "id", None) or f"utterance[{i}]")
+        signals.append(np.asarray(getattr(item, "samples", item), dtype=float))
+        rate = getattr(item, "sample_rate", None)
+        if rate is not None and int(rate) != int(sample_rate):
+            raise ConfigError(f"utterance {ids[-1]!r} has rate {rate}, expected {sample_rate}")
+    return ids, signals
+
+
+def encode_and_grade(utt_id, samples, d, lca_cfg, kernel=None, alpha=1.0, trace_window=0):
+    """Encode one utterance and grade it: one residual gives the SNR and the
+    ``lca.energy`` objective at weight ``alpha``. Returns (report, code, state).
+    """
+    samples = np.asarray(samples, dtype=float)
+    code, state = encode(samples, d, lca_cfg, kernel=kernel, trace_window=trace_window)
+    resid = samples - reconstruct(d, code, length=len(samples))
+    p_noise = float(resid @ resid)
+    report = UtteranceReport(
+        id=utt_id,
+        snr_db=_snr_db(float(samples @ samples), p_noise),
+        active_count=code.n_events,
+        energy=0.5 * p_noise + alpha * lca_cfg.lam * float(np.sum(np.abs(code.values))),
+        n_frames=code.n_frames,
+    )
+    return report, code, state
+
+
+def _report_or_failure(name, utt_id, samples, d, kernel, lca_cfg):
     try:
-        code, _ = encode(samples, d, lca_cfg, kernel=kernel)
-        recon = reconstruct(d, code, length=len(samples))
-        return UtteranceReport(
-            id=utt_id,
-            snr_db=snr(samples, recon),
-            active_count=code.n_events,
-            energy=energy(samples, code, d, lca_cfg.lam),
-            n_frames=code.n_frames,
-        )
+        return encode_and_grade(utt_id, samples, d, lca_cfg, kernel)[0]
     except ChirpcodeError as exc:
         return (name, utt_id, str(exc))
 
@@ -105,24 +132,14 @@ def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> Benchm
             ref.filter_len, ref.stride, ref.sample_rate,
         ):
             raise ConfigError(f"dictionary {name!r} has mismatched geometry or rate")
-    for utt in corpus:
-        rate = getattr(utt, "sample_rate", None)
-        if rate is not None and int(rate) != int(ref.sample_rate):
-            raise ConfigError(
-                f"utterance {getattr(utt, 'id', '?')!r} has rate {rate}, "
-                f"dictionaries expect {ref.sample_rate}"
-            )
+    ids, signals = corpus_signals(corpus, ref.sample_rate)
 
     rows, failures = [], []
     summaries = []
     for name, d in dictionaries:
         kernel = gram_kernel(d)
-        tasks = []
-        for i, utt in enumerate(corpus):
-            samples = np.asarray(getattr(utt, "samples", utt), dtype=float)
-            utt_id = getattr(utt, "id", None) or f"utterance[{i}]"
-            tasks.append((name, utt_id, samples, d, kernel, lca_cfg))
-        results = pmap(_grade_utterance, tasks, jobs)
+        tasks = [(name, uid, s, d, kernel, lca_cfg) for uid, s in zip(ids, signals)]
+        results = pmap(_report_or_failure, tasks, jobs)
         finite_snrs, counts, per_frame = [], [], []
         excluded = 0
         for result in results:

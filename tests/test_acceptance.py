@@ -33,7 +33,7 @@ from chirpcode import (
 from chirpcode.cli import main as cli_main
 from chirpcode.dictionary import n_frames
 
-from conftest import random_toy_dictionary
+from conftest import random_toy_dictionary, sparse_recovery_instance
 from oracles import (
     dense_frozen_energy,
     dense_gram,
@@ -209,17 +209,10 @@ def test_criterion_4_sparse_recovery():
     encoded at SNR >= 40 dB using at most 3x the generating coefficient count,
     in under 10 s."""
     t0 = time.time()
-    d = init_gammatone_dictionary(16, 150.0, 3200.0, 64, 32, 8000)
-    lam = 0.002
-    t_frames = 8
-    length = (t_frames - 1) * d.stride + d.filter_len
-    s = np.zeros(length)
-    placements = [(1, 0, 0.03), (5, 2, 0.05), (9, 4, -0.04), (13, 6, 0.06), (3, 7, 0.035)]
-    for ch, t, coeff in placements:
-        assert abs(coeff) >= 10 * lam
-        s[t * d.stride : t * d.stride + d.filter_len] += coeff * d.atoms[ch]
+    d, s, lam, placements = sparse_recovery_instance()
+    assert all(abs(coeff) >= 10 * lam for _, _, coeff in placements)
     code, _ = encode(s, d, LcaConfig(lam=lam, max_iters=3000, rel_tol=1e-12))
-    recon = reconstruct(d, code, length=length)
+    recon = reconstruct(d, code, length=len(s))
     got_snr = snr(s, recon)
     elapsed = time.time() - t0
     _report(4, "sparse-recovery sanity",

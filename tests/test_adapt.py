@@ -21,13 +21,14 @@ from chirpcode import (
     encode,
     energy_gradient,
     erb,
+    init_gammatone_dictionary,
     lr_cf_search_grid,
     make_dictionary,
 )
 from chirpcode.dictionary import gammachirp_parts
 
 from conftest import random_toy_dictionary
-from oracles import dense_frozen_energy, independent_atom, independent_atoms
+from oracles import dense_frozen_energy, formant_corpus, independent_atom, independent_atoms
 
 
 def _random_params(rng):
@@ -187,31 +188,33 @@ class TestEnergyGradient:
 
 
 class TestAdamax:
-    def _setup(self, n=3):
+    def _setup(self, n=3, lr_mod=0.01, lr_cf=1.0):
         params = ChannelParams(
             c=np.zeros(n), b=np.ones(n), l=np.full(n, 4.0),
             f=np.array([200.0, 800.0, 3200.0])[:n],
         )
-        return params, AdamaxState.zeros(n), default_bounds(16000)
+        config = AdaptConfig(mode="alca-cf", lr_mod=lr_mod, lr_cf=lr_cf,
+                             bounds=default_bounds(16000))
+        return params, AdamaxState.zeros(n), config
 
     def test_zero_gradient_is_identity(self):
-        params, moments, bounds = self._setup()
+        params, moments, config = self._setup()
         zero = ParamGradients(d_c=np.zeros(3), d_b=np.zeros(3), d_l=np.zeros(3),
                               d_f=np.zeros(3))
-        out, _ = adamax_step(params, zero, moments, 0.01, 1.0, 1, bounds)
+        out, _ = adamax_step(params, zero, moments, config, 1)
         for name in ("c", "b", "l", "f"):
             np.testing.assert_array_equal(getattr(out, name), getattr(params, name))
 
     def test_constant_gradient_closed_form(self):
         """With a constant gradient g the infinity moment pins to |g| after the
         first step, so every update is exactly -lr * g / (|g| + eps)."""
-        params, moments, bounds = self._setup()
+        lr = 1e-3
+        params, moments, config = self._setup(lr_mod=lr)
         g = np.array([0.3, -0.2, 0.5])
         grads = ParamGradients(d_c=g, d_b=np.zeros(3), d_l=np.zeros(3), d_f=np.zeros(3))
-        lr = 1e-3
         prev = params.c.copy()
         for step in range(1, 30):
-            params, moments = adamax_step(params, grads, moments, lr, 1.0, step, bounds)
+            params, moments = adamax_step(params, grads, moments, config, step)
             delta = params.c - prev
             expected = -lr * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(delta, expected, rtol=1e-12)
@@ -219,22 +222,22 @@ class TestAdamax:
             prev = params.c.copy()
 
     def test_clamping(self):
-        params, moments, bounds = self._setup()
+        params, moments, config = self._setup(lr_cf=1e9)
         big = ParamGradients(
             d_c=np.zeros(3), d_b=np.zeros(3), d_l=np.zeros(3),
             d_f=np.array([-1.0, 0.0, 0.0]),
         )
-        out, _ = adamax_step(params, big, moments, 0.01, 1e9, 1, bounds)
-        assert out.f[0] == bounds.f[1]
+        out, _ = adamax_step(params, big, moments, config, 1)
+        assert out.f[0] == config.bounds.f[1]
 
     def test_bad_step_index_rejected(self):
         from chirpcode import OptimizerError
 
-        params, moments, bounds = self._setup()
+        params, moments, config = self._setup()
         zero = ParamGradients(d_c=np.zeros(3), d_b=np.zeros(3), d_l=np.zeros(3),
                               d_f=np.zeros(3))
         with pytest.raises(OptimizerError):
-            adamax_step(params, zero, moments, 0.01, 1.0, 0, bounds)
+            adamax_step(params, zero, moments, config, 0)
 
 
 def _tiny_corpus(rng, d, n=3, length=72):
@@ -291,6 +294,20 @@ class TestAdaptCorpus:
         d, _ = adapt_corpus(_tiny_corpus(rng, d0), d0, self._lca(), cfg)
         for before, after in zip(d0.channels, d.channels):
             assert before.f == after.f
+        assert any(b.c != a.c for b, a in zip(d0.channels, d.channels))
+
+    def test_alca_leaves_out_of_bounds_frequencies_alone(self):
+        """The desk bank's 7600 Hz top channel lies above the 7200 Hz cap of
+        default_bounds(16000). ALCA does not adapt f, so it must not clamp
+        it either: one epoch leaves every centre frequency bit-identical."""
+        d0 = init_gammatone_dictionary(64, 80.0, 7600.0, 256, 128, 16000)
+        corpus = formant_corpus(42, 2, sample_rate=16000, duration=0.1)
+        cfg = AdaptConfig(
+            mode="alca", lr_mod=2e-3, alpha=4.0, epochs=1, batch_size=2,
+            bounds=default_bounds(16000), seed=7,
+        )
+        d, _ = adapt_corpus(corpus, d0, LcaConfig(lam=0.03, max_iters=50), cfg)
+        assert [p.f for p in d.channels] == [p.f for p in d0.channels]
         assert any(b.c != a.c for b, a in zip(d0.channels, d.channels))
 
     def test_alca_cf_moves_frequencies(self, rng):

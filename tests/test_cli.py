@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from chirpcode import load_code, load_dictionary, load_wav, save_wav, snr
+from chirpcode import (
+    energy, load_code, load_dictionary, load_wav, reconstruct, save_wav, snr,
+)
 from chirpcode.cli import main
 
 from oracles import formant_sweep
@@ -113,6 +115,14 @@ class TestEncodeDecode:
         assert code_file.exists()
         report = (out_dir / "encode_report.csv").read_text().splitlines()
         assert report[0] == "utterance,snr_db,active_count,n_frames,energy"
+
+        # The reported figures are those of the saved code.
+        _, snr_db, active, frames, e = report[1].split(",")
+        d, saved, samples = load_dictionary(dict_path), load_code(code_file), load_wav(wav).samples
+        recon = reconstruct(d, saved, length=len(samples))
+        assert float(snr_db) == snr(samples, recon)
+        assert float(e) == energy(samples, saved, d, 1e-4)
+        assert (int(active), int(frames)) == (saved.n_events, saved.n_frames)
 
         decoded_dir = tmp_path / "recon"
         code, _, _ = _run(capsys, [

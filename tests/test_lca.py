@@ -27,7 +27,7 @@ from chirpcode import (
 )
 from chirpcode.lca import LcaState
 
-from conftest import random_toy_dictionary
+from conftest import random_toy_dictionary, sparse_recovery_instance
 from oracles import grid_search_energy_2atom
 
 
@@ -61,7 +61,8 @@ class TestLcaStep:
         k = gram_kernel(d)
         cfg = LcaConfig(lam=100.0, eta=0.25)
         v0 = rng.standard_normal((3, 4))
-        state = LcaState(v=v0.copy(), a=np.zeros((3, 4)), lam=cfg.lam, eta=cfg.eta)
+        state = LcaState(v=v0.copy(), a=np.zeros((3, 4)), inhibition=np.zeros((3, 4)),
+                         lam=cfg.lam, eta=cfg.eta)
         drive = rng.standard_normal((3, 4))
         lca_step(state, drive, k, cfg)
         np.testing.assert_allclose(state.v, (1 - 0.25) * v0 + 0.25 * drive, atol=1e-15)
@@ -73,7 +74,8 @@ class TestLcaStep:
         v = rng.standard_normal((3, 4))
         a = threshold(v, cfg.lam)
         drive = v + apply_kernel(k, a)
-        state = LcaState(v=v.copy(), a=a.copy(), lam=cfg.lam, eta=cfg.eta)
+        state = LcaState(v=v.copy(), a=a.copy(), inhibition=apply_kernel(k, a),
+                         lam=cfg.lam, eta=cfg.eta)
         lca_step(state, drive, k, cfg)
         np.testing.assert_allclose(state.v, v, atol=1e-12)
         np.testing.assert_allclose(state.a, a, atol=1e-12)
@@ -89,11 +91,13 @@ class TestLcaStep:
         d = random_toy_dictionary(rng)
         k = gram_kernel(d)
         cfg = LcaConfig(lam=0.2, eta=0.1)
-        state = LcaState(v=np.zeros((3, 4)), a=np.zeros((3, 4)), lam=cfg.lam, eta=cfg.eta)
+        state = LcaState(v=np.zeros((3, 4)), a=np.zeros((3, 4)), inhibition=np.zeros((3, 4)),
+                         lam=cfg.lam, eta=cfg.eta)
         drive = rng.standard_normal((3, 4))
         for _ in range(20):
             lca_step(state, drive, k, cfg)
             np.testing.assert_array_equal(state.a, threshold(state.v, cfg.lam))
+            np.testing.assert_array_equal(state.inhibition, apply_kernel(k, state.a))
 
 
 class TestEncode:
@@ -182,6 +186,24 @@ class TestEncode:
             trace = state.energy_trace
             slack = 1e-6 * trace[0]
             assert all(b <= a + slack for a, b in zip(trace, trace[1:]))
+
+    def test_trace_matches_reference_energy(self, rng):
+        """encode reads the energy off the drive and the inhibition instead of
+        reconstructing; every recorded iteration must match trace_energy, also
+        at criterion 4's 40 dB recovery, where the energy is a small
+        difference of large terms."""
+        cases = []
+        for _ in range(5):
+            d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+            s = rng.standard_normal(128) * rng.uniform(0.1, 1.0)
+            cases.append((s, d, LcaConfig(lam=0.08, eta=0.1, max_iters=300)))
+        d, s, lam, _ = sparse_recovery_instance()
+        cases.append((s, d, LcaConfig(lam=lam, max_iters=3000, rel_tol=1e-12)))
+        for s, d, cfg in cases:
+            _, state = encode(s, d, cfg, trace_window=cfg.max_iters)
+            assert len(state.a_history) == len(state.energy_trace) == state.iter + 1
+            for a_k, e_k in zip(state.a_history, state.energy_trace):
+                assert e_k == pytest.approx(trace_energy(s, a_k, d, cfg.lam), rel=1e-9)
 
     def test_stop_not_armed_while_charging(self, rng):
         """Potentials ramp toward the drive for several iterations before any
