@@ -226,25 +226,21 @@ def dictionary_jacobians(d: Dictionary):
     )
 
 
-def _accumulate_lag_correlations(q: np.ndarray, x: np.ndarray, y: np.ndarray, max_lag: int):
-    # q[i, j, max_lag + d] += sum_t x[i, t] * y[j, t + d], symmetrized in (x, y).
+def _accumulate_lag_correlations(q: np.ndarray, x: np.ndarray, y: np.ndarray):
+    # q[d, i, j] += sum_t x[i, t] * y[j, t + d] + y[i, t] * x[j, t + d] for
+    # d in [0, max_lag]. The lag -d sum is exactly q[d].T, so it is not formed.
     t_frames = x.shape[1]
-    for lag in range(-max_lag, max_lag + 1):
-        if abs(lag) >= t_frames:
-            continue
-        if lag >= 0:
-            q[:, :, max_lag + lag] += (
-                x[:, : t_frames - lag] @ y[:, lag:].T + y[:, : t_frames - lag] @ x[:, lag:].T
-            )
-        else:
-            q[:, :, max_lag + lag] += (
-                x[:, -lag:] @ y[:, : t_frames + lag].T + y[:, -lag:] @ x[:, : t_frames + lag].T
-            )
+    c = x @ y.T
+    q[0] += c + c.T
+    for lag in range(1, min(q.shape[0], t_frames)):
+        q[lag] += x[:, : t_frames - lag] @ y[:, lag:].T + y[:, : t_frames - lag] @ x[:, lag:].T
 
 
-def _contract_lags(q: np.ndarray, atoms: np.ndarray, stride: int, max_lag: int) -> np.ndarray:
-    # out[i, s] = sum_j sum_d q[i, j, d] * atoms[j, s - d*stride]
+def _contract_lags(q: np.ndarray, atoms: np.ndarray, stride: int) -> np.ndarray:
+    # out[i, s] = sum_j sum_d Q_d[i, j] * atoms[j, s - d*stride], where Q_d is
+    # q[d] for d >= 0 and q[-d].T for d < 0.
     n, flen = atoms.shape
+    max_lag = q.shape[0] - 1
     out = np.zeros((n, flen))
     for lag in range(-max_lag, max_lag + 1):
         shift = lag * stride
@@ -255,7 +251,7 @@ def _contract_lags(q: np.ndarray, atoms: np.ndarray, stride: int, max_lag: int) 
             shifted[:, shift:] = atoms[:, : flen - shift]
         else:
             shifted[:, :shift] = atoms[:, -shift:]
-        out += q[:, :, max_lag + lag] @ shifted
+        out += (q[lag] if lag >= 0 else q[-lag].T) @ shifted
     return out
 
 
@@ -303,15 +299,14 @@ def energy_gradient(
         steps = min(config.tbptt_window, len(hist) - 1)
         if kernel is None:
             kernel = gram_kernel(d)
-        max_lag = kernel.max_lag
 
         gbar = weight * np.sign(a_final)
         gbar_rows = np.zeros((n, t_frames))
-        q = np.zeros((n, n, 2 * max_lag + 1))
+        q = np.zeros((kernel.max_lag + 1, n, n))
         for step in range(steps):
             a_prev = hist[-2 - step]
             gbar_rows += gbar
-            _accumulate_lag_correlations(q, gbar, a_prev, max_lag)
+            _accumulate_lag_correlations(q, gbar, a_prev)
             if step < steps - 1:
                 if lam > 0:
                     mask = (a_prev != 0.0).astype(float)
@@ -320,7 +315,7 @@ def energy_gradient(
                     gbar = (1.0 - eta) * gbar - eta * apply_kernel(kernel, gbar)
         windows = signal_windows(s, d.filter_len, d.stride)
         g_atoms = g_atoms + eta * (gbar_rows @ windows)
-        g_atoms = g_atoms - eta * _contract_lags(q, atoms, d.stride, max_lag)
+        g_atoms = g_atoms - eta * _contract_lags(q, atoms, d.stride)
 
     jac = dictionary_jacobians(d)
     d_c = np.sum(g_atoms * jac["c"], axis=1)

@@ -208,20 +208,32 @@ def init_gammatone_dictionary(
 class GramKernel:
     """All inter-atom correlations at frame lags, with self-inhibition removed.
 
-    entries[i, j, max_lag + d] is the inner product of atom i with atom j
-    shifted by d*stride samples, for d in [-max_lag, max_lag]; the (i, i, 0)
-    entries are zeroed so a neuron never inhibits itself.
+    ``lags`` has shape (2*max_lag + 1, n, n), C-contiguous and read-only:
+    ``lags[max_lag + d][i, j]`` is the inner product of atom i with atom j
+    shifted by d*stride samples, for d in [-max_lag, max_lag]. The lag -d
+    matrix is exactly the transpose of the lag d matrix, and the lag-0
+    diagonal is zeroed so a neuron never inhibits itself. Each lag is one
+    contiguous matrix, so ``at_lag`` hands it to BLAS without a copy. The
+    kernel takes (2*max_lag + 1) * n^2 * 8 bytes: 11.8 MB at 700 channels
+    with max_lag 1.
+
+    ``entries`` is the same memory seen as (n, n, 2*max_lag + 1), indexed
+    ``entries[i, j, max_lag + d]``.
     """
 
-    entries: np.ndarray = field(repr=False)
+    lags: np.ndarray = field(repr=False)
     max_lag: int
 
     @property
+    def entries(self) -> np.ndarray:
+        return np.moveaxis(self.lags, 0, 2)
+
+    @property
     def n_channels(self) -> int:
-        return self.entries.shape[0]
+        return self.lags.shape[1]
 
     def at_lag(self, d: int) -> np.ndarray:
-        return self.entries[:, :, self.max_lag + d]
+        return self.lags[self.max_lag + d]
 
 
 def gram_kernel(d: Dictionary) -> GramKernel:
@@ -229,19 +241,19 @@ def gram_kernel(d: Dictionary) -> GramKernel:
     atoms = d.atoms
     n, flen = atoms.shape
     max_lag = d.frames_per_filter - 1
-    entries = np.zeros((n, n, 2 * max_lag + 1))
+    lags = np.empty((2 * max_lag + 1, n, n))
     for lag in range(max_lag + 1):
         shift = lag * d.stride
         overlap = flen - shift
         block = atoms[:, shift:] @ atoms[:, :overlap].T
-        entries[:, :, max_lag + lag] = block
+        lags[max_lag + lag] = block
         if lag > 0:
-            entries[:, :, max_lag - lag] = block.T
+            lags[max_lag - lag] = block.T
     # Remove self-inhibition exactly; unit-norm atoms make the raw diagonal 1
     # only up to rounding, so assign instead of subtracting.
-    entries[np.arange(n), np.arange(n), max_lag] = 0.0
-    entries.setflags(write=False)
-    return GramKernel(entries=entries, max_lag=max_lag)
+    lags[max_lag, np.arange(n), np.arange(n)] = 0.0
+    lags.setflags(write=False)
+    return GramKernel(lags=lags, max_lag=max_lag)
 
 
 def apply_kernel(kernel: GramKernel, a: np.ndarray) -> np.ndarray:
@@ -291,13 +303,22 @@ def project(d: Dictionary, s: np.ndarray) -> np.ndarray:
 
 
 def overlap_add(contrib: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Overlap-add columns of a (filter_len, n_frames) matrix at hops of `stride`."""
+    """Overlap-add columns of a (filter_len, n_frames) matrix at hops of `stride`.
+
+    `length` must cover the span (n_frames - 1)*stride + filter_len. Each
+    column is cut into ceil(filter_len/stride) blocks of `stride` samples,
+    the last possibly shorter, and block b of frame t lands on output chunk
+    t + b. Adding the blocks from the highest index down sums every output
+    sample over frames in increasing order, the order of a loop over frames.
+    """
     flen, t_frames = contrib.shape
-    out = np.zeros(length)
-    for t in range(t_frames):
-        start = t * stride
-        out[start : start + flen] += contrib[:, t]
-    return out
+    n_blocks = -(-flen // stride)
+    frames = contrib.T
+    out = np.zeros((max(t_frames + n_blocks - 1, -(-length // stride)), stride))
+    for b in range(n_blocks - 1, -1, -1):
+        width = min(stride, flen - b * stride)
+        out[b : b + t_frames, :width] += frames[:, b * stride : b * stride + width]
+    return out.ravel()[:length]
 
 
 def reconstruct(d: Dictionary, code, length: int | None = None) -> np.ndarray:

@@ -65,8 +65,11 @@ class LcaState:
     ``inhibition`` is ``apply_kernel(kernel, a)``, kept current by ``lca_step``.
     ``a_history`` (when recording is enabled) keeps the most recent activation
     matrices, oldest first, starting from the all-zero initial state; the
-    adaptation reverse pass consumes it. ``lam`` and ``eta`` record the run's
-    threshold and Euler step, which that reverse pass also needs.
+    adaptation reverse pass consumes it. Entries are not copies: ``lca_step``
+    binds a new array to ``a`` every step, and the newest entry is ``a``
+    itself, so ``a`` must never be written in place. ``lam`` and ``eta``
+    record the run's threshold and Euler step, which that reverse pass also
+    needs.
     """
 
     v: np.ndarray
@@ -208,7 +211,7 @@ def encode(
     )
     if trace_window > 0:
         state.a_history = deque(maxlen=trace_window + 1)
-        state.a_history.append(state.a.copy())
+        state.a_history.append(state.a)
 
     e_prev = 0.5 * float(s @ s)
     state.energy_trace.append(e_prev)
@@ -233,7 +236,7 @@ def encode(
             )
         state.energy_trace.append(e)
         if state.a_history is not None:
-            state.a_history.append(state.a.copy())
+            state.a_history.append(state.a)
         activated = activated or bool(np.any(state.a))
         if activated or stoppable_silent:
             if abs(e - e_prev) / max(abs(e), 1e-30) < config.rel_tol:

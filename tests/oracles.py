@@ -46,6 +46,15 @@ def dense_matrix(atoms, stride, n_frames_, signal_len):
     return phi
 
 
+def loop_overlap_add(contrib, stride, length):
+    """Overlap-add by a loop over frames, adding each column in frame order."""
+    flen, t_frames = contrib.shape
+    out = np.zeros(length)
+    for t in range(t_frames):
+        out[t * stride : t * stride + flen] += contrib[:, t]
+    return out
+
+
 def dense_project(phi, s, n, n_frames_):
     return (phi.T @ s).reshape(n, n_frames_)
 

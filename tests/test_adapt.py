@@ -112,13 +112,22 @@ class TestEnergyGradient:
         g_cf = energy_gradient(s, d, state, AdaptConfig(mode="alca-cf"))
         assert np.any(g_cf.d_f != 0.0)
 
-    def test_matches_frozen_mask_finite_differences(self, rng):
+    @pytest.mark.parametrize(
+        "filter_len, stride, n_samples",
+        [
+            (16, 8, 40),  # max_lag 1
+            (24, 8, 40),  # max_lag 2
+            (32, 8, 72),  # max_lag 3
+            (32, 8, 40),  # max_lag 3 over 2 frames: lags >= t_frames are skipped
+        ],
+    )
+    def test_matches_frozen_mask_finite_differences(self, rng, filter_len, stride, n_samples):
         """Full-window analytic gradient vs central differences of the energy
         of the dense solver run with the recorded per-iteration active masks
         pinned. At a converged fixed point the two agree because the residual
         term's dependence on the code vanishes on the active set."""
-        d = self._toy(rng)
-        s = rng.standard_normal(40) * 0.6
+        d = make_dictionary(self._toy(rng).channels, filter_len, stride, 8000)
+        s = rng.standard_normal(n_samples) * 0.6
         lam, eta, alpha = 0.05, 0.2, 0.7
         iters = 300
         cfg = LcaConfig(lam=lam, eta=eta, max_iters=iters, rel_tol=0.0)

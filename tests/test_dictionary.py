@@ -24,7 +24,7 @@ from chirpcode import (
     reconstruct,
     synthesize_atom,
 )
-from chirpcode.dictionary import gammachirp_parts, n_frames, signal_windows
+from chirpcode.dictionary import gammachirp_parts, n_frames, overlap_add, signal_windows
 
 from conftest import random_toy_dictionary
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     dense_project,
     dense_reconstruct,
     independent_atom,
+    loop_overlap_add,
 )
 
 
@@ -163,7 +164,20 @@ class TestGramKernel:
         d = random_toy_dictionary(rng, n_channels=8, filter_len=32, stride=8)
         k = gram_kernel(d)
         for lag in range(-k.max_lag, k.max_lag + 1):
-            np.testing.assert_allclose(k.at_lag(lag), k.at_lag(-lag).T, atol=1e-12)
+            np.testing.assert_array_equal(k.at_lag(lag), k.at_lag(-lag).T)
+
+    def test_lag_major_layout(self, rng):
+        """Every lag is one contiguous read-only matrix, and `entries` is a
+        view of the same memory indexed [i, j, max_lag + d]."""
+        d = random_toy_dictionary(rng, n_channels=5, filter_len=32, stride=8)
+        k = gram_kernel(d)
+        assert k.lags.shape == (2 * k.max_lag + 1, 5, 5)
+        assert k.entries.shape == (5, 5, 2 * k.max_lag + 1)
+        assert np.shares_memory(k.entries, k.lags)
+        assert not k.lags.flags.writeable and not k.entries.flags.writeable
+        for lag in range(-k.max_lag, k.max_lag + 1):
+            assert k.at_lag(lag).flags.c_contiguous
+            np.testing.assert_array_equal(k.entries[:, :, k.max_lag + lag], k.at_lag(lag))
 
     def test_cauchy_schwarz_bound(self, rng):
         d = random_toy_dictionary(rng, n_channels=6, filter_len=32, stride=8)
@@ -188,14 +202,45 @@ class TestGramKernel:
                         got = w[i * t_frames + ti, j * t_frames + tj]
                         assert got == pytest.approx(expected, abs=1e-10)
 
-    def test_apply_kernel_matches_dense(self, rng):
-        d = random_toy_dictionary(rng, n_channels=3, filter_len=16, stride=8)
+    @pytest.mark.parametrize(
+        "filter_len, stride, t_frames",
+        [
+            (16, 8, 5),  # max_lag 1
+            (24, 8, 5),  # max_lag 2
+            (32, 8, 6),  # max_lag 3
+            (32, 8, 3),  # t_frames == max_lag
+            (32, 8, 2),  # t_frames < max_lag
+            (32, 8, 1),
+        ],
+    )
+    def test_apply_kernel_matches_dense(self, rng, filter_len, stride, t_frames):
+        d = random_toy_dictionary(rng, n_channels=3, filter_len=filter_len, stride=stride)
         k = gram_kernel(d)
-        t_frames = 5
         a = rng.standard_normal((3, t_frames))
-        phi = dense_matrix(d.atoms, d.stride, t_frames, (t_frames - 1) * d.stride + 16)
+        sig_len = (t_frames - 1) * stride + filter_len
+        phi = dense_matrix(d.atoms, d.stride, t_frames, sig_len)
         expected = (dense_gram(phi) @ a.ravel()).reshape(3, t_frames)
         np.testing.assert_allclose(apply_kernel(k, a), expected, atol=1e-10)
+
+
+class TestOverlapAdd:
+    @pytest.mark.parametrize(
+        "filter_len, stride, t_frames, pad",
+        [
+            (16, 8, 5, 0),  # stride divides filter_len
+            (20, 6, 7, 0),  # stride does not divide filter_len
+            (20, 6, 7, 13),  # padded length
+            (16, 16, 4, 5),  # stride == filter_len
+            (9, 1, 6, 2),  # stride 1
+            (20, 6, 1, 3),  # one frame
+        ],
+    )
+    def test_matches_frame_loop_exactly(self, rng, filter_len, stride, t_frames, pad):
+        contrib = rng.standard_normal((filter_len, t_frames))
+        length = (t_frames - 1) * stride + filter_len + pad
+        out = overlap_add(contrib, stride, length)
+        assert out.shape == (length,)
+        np.testing.assert_array_equal(out, loop_overlap_add(contrib, stride, length))
 
 
 class TestProjectReconstruct:
