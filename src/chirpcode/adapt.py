@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap
+from ._parallel import pmap, workers
 from .dictionary import (
     Dictionary,
     GammachirpParams,
@@ -394,8 +394,9 @@ def adapt_corpus(
     the per-utterance gradients over each batch, applies one Adamax step, and
     re-synthesizes the atoms and inhibition kernel. Per-epoch statistics are
     the means over the encodes performed during that epoch. ``jobs`` > 1
-    spreads the per-utterance work of a batch over processes; the optimizer
-    step stays a serial barrier and the gradient mean keeps batch order.
+    spreads the per-utterance work of a batch over one pool of worker
+    processes, open for the whole run; the optimizer step stays a serial
+    barrier and the gradient mean keeps batch order.
     """
     corpus = list(corpus)
     if not corpus:
@@ -410,38 +411,40 @@ def adapt_corpus(
     history = []
     step_index = 0
 
-    for epoch in range(adapt_cfg.epochs):
-        order = rng.permutation(len(corpus))
-        energies, snrs, actives = [], [], []
-        for start in range(0, len(order), adapt_cfg.batch_size):
-            batch = order[start : start + adapt_cfg.batch_size]
-            tasks = [
-                (ids[idx], signals[idx], d, kernel, lca_cfg, adapt_cfg) for idx in batch
-            ]
-            batch_grads = []
-            for report, grads in pmap(_adapt_task, tasks, jobs):
-                batch_grads.append(grads)
-                energies.append(report.energy)
-                snrs.append(report.snr_db)
-                actives.append(report.active_count)
-            mean_grads = ParamGradients(
-                d_c=np.mean([g.d_c for g in batch_grads], axis=0),
-                d_b=np.mean([g.d_b for g in batch_grads], axis=0),
-                d_l=np.mean([g.d_l for g in batch_grads], axis=0),
-                d_f=np.mean([g.d_f for g in batch_grads], axis=0),
+    # A pool larger than a mini-batch would only hold idle workers.
+    with workers(min(jobs, adapt_cfg.batch_size, len(corpus))):
+        for epoch in range(adapt_cfg.epochs):
+            order = rng.permutation(len(corpus))
+            energies, snrs, actives = [], [], []
+            for start in range(0, len(order), adapt_cfg.batch_size):
+                batch = order[start : start + adapt_cfg.batch_size]
+                tasks = [
+                    (ids[idx], signals[idx], d, kernel, lca_cfg, adapt_cfg) for idx in batch
+                ]
+                batch_grads = []
+                for report, grads in pmap(_adapt_task, tasks, jobs):
+                    batch_grads.append(grads)
+                    energies.append(report.energy)
+                    snrs.append(report.snr_db)
+                    actives.append(report.active_count)
+                mean_grads = ParamGradients(
+                    d_c=np.mean([g.d_c for g in batch_grads], axis=0),
+                    d_b=np.mean([g.d_b for g in batch_grads], axis=0),
+                    d_l=np.mean([g.d_l for g in batch_grads], axis=0),
+                    d_f=np.mean([g.d_f for g in batch_grads], axis=0),
+                )
+                step_index += 1
+                params, moments = adamax_step(params, mean_grads, moments, adapt_cfg, step_index)
+                d = make_dictionary(params.to_channels(), d.filter_len, d.stride, d.sample_rate)
+                kernel = gram_kernel(d)
+            history.append(
+                EpochStats(
+                    epoch=epoch,
+                    mean_energy=float(np.mean(energies)),
+                    mean_snr_db=float(np.mean(snrs)),
+                    mean_active_count=float(np.mean(actives)),
+                )
             )
-            step_index += 1
-            params, moments = adamax_step(params, mean_grads, moments, adapt_cfg, step_index)
-            d = make_dictionary(params.to_channels(), d.filter_len, d.stride, d.sample_rate)
-            kernel = gram_kernel(d)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                mean_energy=float(np.mean(energies)),
-                mean_snr_db=float(np.mean(snrs)),
-                mean_active_count=float(np.mean(actives)),
-            )
-        )
     return d, history
 
 

@@ -106,12 +106,17 @@ def _add_common_flags(sub):
     sub.add_argument("--json-errors", action="store_true",
                      help="emit failures as JSON on stderr")
     sub.add_argument("--jobs", type=int, default=None,
-                     help="corpus-level parallelism (default: machine parallelism, "
-                          "or CHIRPCODE_JOBS)")
+                     help="worker processes, >= 1 (default: CHIRPCODE_JOBS, else the "
+                          "CPUs this process may use)")
 
 
 def _jobs(args) -> int:
-    return args.jobs if getattr(args, "jobs", None) else default_jobs()
+    """The --jobs value, checked, or default_jobs() when it is not given."""
+    if args.jobs is None:
+        return default_jobs()
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def _gather_utterances(args, d):
@@ -189,7 +194,8 @@ def cmd_encode(args) -> int:
 
     kernel = gram_kernel(d)
     tasks = [(u.id, u.samples, d, lca_cfg, kernel, float(cfg["alpha"])) for u in utterances]
-    results = pmap(_report_and_code, tasks, _jobs(args))
+    # One pmap call, so its own pool is the command's one pool.
+    results = pmap(_report_and_code, tasks, args.jobs)
 
     report_path = args.report or out_dir / "encode_report.csv"
     with open(report_path, "w", newline="") as fh:
@@ -274,7 +280,7 @@ def cmd_adapt(args) -> int:
         bounds=_parse_bounds(cfg["bounds"], d0.sample_rate),
         seed=int(cfg["seed"]),
     )
-    d, history = adapt_corpus(corpus, d0, lca_cfg, adapt_cfg, jobs=_jobs(args))
+    d, history = adapt_corpus(corpus, d0, lca_cfg, adapt_cfg, jobs=args.jobs)
     save_dictionary(d, cfg["out"])
     history_path = cfg["history"] or str(cfg["out"]) + ".history.csv"
     write_history_csv(history, history_path)
@@ -316,7 +322,7 @@ def cmd_benchmark(args) -> int:
     corpus = load_corpus(args.manifest, named[0][1].sample_rate, normalize=args.normalize)
     if not corpus:
         raise ConfigError("corpus is empty; nothing to benchmark")
-    report = benchmark(corpus, named, lca_cfg, jobs=_jobs(args))
+    report = benchmark(corpus, named, lca_cfg, jobs=args.jobs)
 
     prefix = args.out_prefix
     write_report_csv(report, f"{prefix}report.csv")
@@ -437,6 +443,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.jobs = _jobs(args)
         return args.func(args)
     except ChirpcodeError as exc:
         exit_code = (

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import pmap
+from ._parallel import pmap, workers
 from .dictionary import Dictionary, gram_kernel, reconstruct
 from .errors import ChirpcodeError, ConfigError, SignalError
 from .lca import LcaConfig, SparseCode, encode
@@ -136,33 +136,34 @@ def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> Benchm
 
     rows, failures = [], []
     summaries = []
-    for name, d in dictionaries:
-        kernel = gram_kernel(d)
-        tasks = [(name, uid, s, d, kernel, lca_cfg) for uid, s in zip(ids, signals)]
-        results = pmap(_report_or_failure, tasks, jobs)
-        finite_snrs, counts, per_frame = [], [], []
-        excluded = 0
-        for result in results:
-            if isinstance(result, tuple):
-                failures.append(result)
-                continue
-            rows.append((name, result))
-            counts.append(result.active_count)
-            per_frame.append(result.active_count / max(result.n_frames, 1))
-            if math.isinf(result.snr_db):
-                excluded += 1
-            else:
-                finite_snrs.append(result.snr_db)
-        summaries.append(
-            DictionarySummary(
-                name=name,
-                mean_snr_db=float(np.mean(finite_snrs)) if finite_snrs else math.nan,
-                mean_active_count=float(np.mean(counts)) if counts else math.nan,
-                mean_active_per_frame=float(np.mean(per_frame)) if per_frame else math.nan,
-                n_utterances=len(counts),
-                n_snr_excluded=excluded,
+    with workers(min(jobs, len(ids))):
+        for name, d in dictionaries:
+            kernel = gram_kernel(d)
+            tasks = [(name, uid, s, d, kernel, lca_cfg) for uid, s in zip(ids, signals)]
+            results = pmap(_report_or_failure, tasks, jobs)
+            finite_snrs, counts, per_frame = [], [], []
+            excluded = 0
+            for result in results:
+                if isinstance(result, tuple):
+                    failures.append(result)
+                    continue
+                rows.append((name, result))
+                counts.append(result.active_count)
+                per_frame.append(result.active_count / max(result.n_frames, 1))
+                if math.isinf(result.snr_db):
+                    excluded += 1
+                else:
+                    finite_snrs.append(result.snr_db)
+            summaries.append(
+                DictionarySummary(
+                    name=name,
+                    mean_snr_db=float(np.mean(finite_snrs)) if finite_snrs else math.nan,
+                    mean_active_count=float(np.mean(counts)) if counts else math.nan,
+                    mean_active_per_frame=float(np.mean(per_frame)) if per_frame else math.nan,
+                    n_utterances=len(counts),
+                    n_snr_excluded=excluded,
+                )
             )
-        )
     return BenchmarkReport(rows=rows, summaries=summaries, failures=failures)
 
 

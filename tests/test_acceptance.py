@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete. Criterion 5 is the long one (a full two-mode adaptation study on a
-synthetic desk corpus); everything else finishes in seconds.
+synthetic desk corpus); everything else finishes in seconds. Criteria 5 and 6
+are marked ``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import time
@@ -238,6 +239,7 @@ def _desk_dictionary():
     return init_gammatone_dictionary(64, 80.0, 7600.0, 256, 128, DESK_SR)
 
 
+@pytest.mark.slow
 def test_criterion_5_direction_of_effect():
     """On a 20-utterance synthetic formant-sweep corpus with a 64-channel
     dictionary and 50 adaptation epochs: mean SNR(alca-cf) > mean SNR(alca) >
@@ -275,6 +277,7 @@ def test_criterion_5_direction_of_effect():
 
 # ---------------------------------------------------------------- criterion 6
 
+@pytest.mark.slow
 def test_criterion_6_mode_contract():
     """An alca run leaves every centre frequency bit-identical to the initial
     log-spaced grid; the same config in alca-cf mode (nonzero lr-cf) moves at

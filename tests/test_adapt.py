@@ -1,5 +1,7 @@
 """Adaptation: atom jacobians, energy gradients (vs finite differences), Adamax."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -356,13 +358,33 @@ class TestAdaptCorpus:
         for p1, p2 in zip(d1.channels, d2.channels):
             assert (p1.f, p1.b, p1.c, p1.l) == (p2.f, p2.b, p2.c, p2.l)
 
-    def test_member_error_names_utterance(self, rng):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_member_error_names_utterance(self, rng, jobs):
         d0 = self._dict()
         corpus = _tiny_corpus(rng, d0, n=2) + [np.zeros(4)]
         cfg = AdaptConfig(mode="alca", epochs=1, batch_size=3,
                           bounds=default_bounds(8000), seed=0)
         with pytest.raises(SignalError, match=r"utterance\[2\]"):
-            adapt_corpus(corpus, d0, self._lca(), cfg)
+            adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_do_not_change_results(self, rng):
+        """Worker processes give the serial path's parameters and history bit
+        for bit, over several mini-batches and epochs, and are gone on return."""
+        d0 = self._dict()
+        corpus = _tiny_corpus(rng, d0, n=5)
+        cfg = AdaptConfig(
+            mode="alca-cf", lr_mod=3e-3, lr_cf=2.0, epochs=2, batch_size=2,
+            tbptt_window=40, bounds=default_bounds(8000), seed=5,
+        )
+        (d1, h1), (d2, h2) = (
+            adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs) for jobs in (1, 2)
+        )
+        assert multiprocessing.active_children() == []
+        assert h1 == h2
+        assert d1.channels == d2.channels
+        assert np.array_equal(d1.atoms, d2.atoms)
+        assert d1.channels != d0.channels
 
     def test_empty_corpus_rejected(self):
         d0 = self._dict()

@@ -162,6 +162,19 @@ class TestEncodeDecode:
         monkeypatch.delenv("CHIRPCODE_JOBS")
         assert default_jobs() >= 1
 
+    @pytest.mark.parametrize("command", [
+        ["encode", "--dict", "missing.json", "--out-dir", "out"],
+        ["adapt", "--dict", "missing.json", "--manifest", "missing.csv"],
+        ["benchmark", "--dict", "d=missing.json", "--manifest", "missing.csv"],
+    ], ids=["encode", "adapt", "benchmark"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_rejected_at_start_up(self, capsys, monkeypatch, tmp_path, command, jobs):
+        # The named files do not exist: the --jobs check comes before any input is read.
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = _run(capsys, command + ["--jobs", jobs])
+        assert code == 2
+        assert f"--jobs must be >= 1, got {jobs}" in stderr
+
     def test_encode_is_byte_idempotent(self, capsys, tmp_path):
         dict_path = _build_small_dict(capsys, tmp_path)
         wav, _ = self._plant_signal(dict_path, tmp_path)

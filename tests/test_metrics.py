@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestBenchmark:
         if inf_rows:
             assert s_summary.n_snr_excluded == len(inf_rows)
             assert math.isfinite(s_summary.mean_snr_db)
+
+    def test_jobs_do_not_change_rows(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        d2 = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        corpus = _corpus_for(d, rng, n=4)
+        corpus.append(Utterance(id="tooshort", samples=np.ones(4) * 0.1,
+                                sample_rate=d.sample_rate))
+        serial, parallel = (
+            benchmark(corpus, [("a", d), ("b", d2)], LcaConfig(lam=0.03), jobs=jobs)
+            for jobs in (1, 2)
+        )
+        assert len(serial.rows) == 8 and len(serial.failures) == 2
+        assert parallel.rows == serial.rows
+        assert parallel.failures == serial.failures
+        assert parallel.summaries == serial.summaries
+        assert multiprocessing.active_children() == []
 
     def test_geometry_mismatch_rejected(self, rng):
         d1 = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
