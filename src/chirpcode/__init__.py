@@ -19,7 +19,6 @@ from .adapt import (
     default_bounds,
     dictionary_jacobians,
     energy_gradient,
-    lr_cf_search_grid,
     write_history_csv,
 )
 from .audio import (
@@ -63,6 +62,7 @@ from .lca import (
     LcaState,
     SparseCode,
     encode,
+    encode_many,
     energy,
     export_events_csv,
     lca_step,

@@ -14,6 +14,8 @@ import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from .errors import ConfigError
+
 # OpenBLAS's thread-count functions, "{}" being "set" or "get", under the
 # names its builds export: numpy's own wheels (scipy-openblas, 64-bit ints)
 # first.
@@ -29,13 +31,20 @@ _open_pool: contextvars.ContextVar = contextvars.ContextVar("chirpcode_pool", de
 
 
 def default_jobs() -> int:
-    """CHIRPCODE_JOBS if set (1 if it is not an integer), else the CPUs this process may use."""
+    """CHIRPCODE_JOBS if set, else the CPUs this process may use.
+
+    A CHIRPCODE_JOBS that is not an integer >= 1 is a ConfigError, as
+    ``--jobs 0`` is.
+    """
     env = os.environ.get("CHIRPCODE_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            return 1
+            jobs = 0
+        if jobs < 1:
+            raise ConfigError(f"CHIRPCODE_JOBS must be an integer >= 1, got {env!r}")
+        return jobs
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

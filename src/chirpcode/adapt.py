@@ -377,9 +377,12 @@ class EpochStats:
 
 def _adapt_task(uid, signal, d, kernel, lca_cfg, adapt_cfg):
     try:
-        report, _, state = encode_and_grade(
-            uid, signal, d, lca_cfg, kernel, adapt_cfg.alpha, adapt_cfg.tbptt_window
+        (result,) = encode_and_grade(
+            [uid], [signal], d, lca_cfg, kernel, adapt_cfg.alpha, adapt_cfg.tbptt_window
         )
+        if isinstance(result, ChirpcodeError):
+            raise result
+        report, _, state = result
         return report, energy_gradient(signal, d, state, adapt_cfg, kernel=kernel)
     except ChirpcodeError as exc:
         raise type(exc)(f"utterance {uid!r}: {exc}") from exc
@@ -459,7 +462,3 @@ def write_history_csv(history, path) -> None:
                  repr(row.mean_active_count)]
             )
 
-
-def lr_cf_search_grid(num: int = 9) -> np.ndarray:
-    """Log-spaced candidate grid for the centre-frequency learning rate, 1e-6 to 1e2."""
-    return np.geomspace(1e-6, 1e2, num)

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from ._parallel import default_jobs, pmap
+from ._parallel import default_jobs
 from .adapt import (
     AdaptConfig,
     ParamBounds,
@@ -40,7 +40,7 @@ from .errors import (
 from .lca import LcaConfig, export_events_csv, load_code, save_code
 from .metrics import (
     benchmark,
-    encode_and_grade,
+    encode_corpus,
     write_report_csv,
     write_report_json,
     write_summary_csv,
@@ -176,13 +176,6 @@ def cmd_build_dict(args) -> int:
 
 # -------------------------------------------------------------------- encode
 
-def _report_and_code(*args):
-    # Drop the solver state in the worker: it holds dense arrays, so only the
-    # report and the sparse code are kept for the whole corpus.
-    report, code, _ = encode_and_grade(*args)
-    return report, code
-
-
 def cmd_encode(args) -> int:
     defaults = dict(LCA_DEFAULTS, alpha=1.0)
     cfg = _merge(args, defaults)
@@ -192,10 +185,13 @@ def cmd_encode(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    kernel = gram_kernel(d)
-    tasks = [(u.id, u.samples, d, lca_cfg, kernel, float(cfg["alpha"])) for u in utterances]
-    # One pmap call, so its own pool is the command's one pool.
-    results = pmap(_report_and_code, tasks, args.jobs)
+    ids = [u.id for u in utterances]
+    # One pmap call inside, so its own pool is the command's one pool.
+    results = encode_corpus(ids, [u.samples for u in utterances], d, lca_cfg,
+                            gram_kernel(d), float(cfg["alpha"]), args.jobs)
+    for uid, result in zip(ids, results):
+        if isinstance(result, ChirpcodeError):
+            raise type(result)(f"utterance {uid!r}: {result}") from result
 
     report_path = args.report or out_dir / "encode_report.csv"
     with open(report_path, "w", newline="") as fh:

@@ -257,21 +257,23 @@ def gram_kernel(d: Dictionary) -> GramKernel:
 
 
 def apply_kernel(kernel: GramKernel, a: np.ndarray) -> np.ndarray:
-    """Lag-summed inhibition: out[i, t] = sum_j sum_d K[i, j, d] * a[j, t + d].
+    """Lag-summed inhibition: out[..., i, t] = sum_j sum_d K[i, j, d] * a[..., j, t + d].
 
-    Frames outside [0, T) contribute nothing. The kernel is symmetric
-    (K[i, j, d] = K[j, i, -d]) so this operator is self-adjoint.
+    ``a`` is (n, T) or a stack (B, n, T). Frames outside [0, T) contribute
+    nothing. The kernel is symmetric (K[i, j, d] = K[j, i, -d]) so this
+    operator is self-adjoint. Each stack item is its own product with the
+    shape of a single (n, T) call, so it is bit-identical to that call.
     """
-    n, t_frames = a.shape
+    t_frames = a.shape[-1]
     out = np.zeros_like(a)
     for lag in range(-kernel.max_lag, kernel.max_lag + 1):
         if abs(lag) >= t_frames:
             continue
         k_lag = kernel.at_lag(lag)
         if lag >= 0:
-            out[:, : t_frames - lag] += k_lag @ a[:, lag:]
+            out[..., : t_frames - lag] += np.matmul(k_lag, a[..., lag:])
         else:
-            out[:, -lag:] += k_lag @ a[:, : t_frames + lag]
+            out[..., -lag:] += np.matmul(k_lag, a[..., : t_frames + lag])
     return out
 
 

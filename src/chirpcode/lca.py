@@ -14,6 +14,12 @@ same thing:
 * ``energy`` is the adaptation objective: residual power plus an
   L1-weighted sparsity cost alpha * lam * sum|a|. Filter-parameter gradients
   are taken against this one.
+
+``encode_many`` steps a stack of utterances that share a frame count as
+(B, n, T) arrays in one loop; ``encode`` is a stack of one. Every stack item
+is its own matrix product with the shape of a lone solve, and each keeps its
+own energy trace, stop test and freeze, so a code does not depend on the
+stack it was solved in.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .dictionary import (
     project,
     reconstruct,
 )
-from .errors import CodeError, ConfigError, SignalError, SolverError
+from .errors import ChirpcodeError, CodeError, ConfigError, SignalError, SolverError
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,17 @@ class LcaConfig:
 class LcaState:
     """Solver state: potentials, activations, and the per-iteration energy trace.
 
-    ``inhibition`` is ``apply_kernel(kernel, a)``, kept current by ``lca_step``.
-    ``a_history`` (when recording is enabled) keeps the most recent activation
-    matrices, oldest first, starting from the all-zero initial state; the
-    adaptation reverse pass consumes it. Entries are not copies: ``lca_step``
-    binds a new array to ``a`` every step, and the newest entry is ``a``
-    itself, so ``a`` must never be written in place. ``lam`` and ``eta``
-    record the run's threshold and Euler step, which that reverse pass also
-    needs.
+    ``lca_step`` works on one solve, arrays (n, T), or on a stack, arrays
+    (B, n, T). ``inhibition`` is ``apply_kernel(kernel, a)``, kept current by
+    ``lca_step``. ``a_history`` (when recording is enabled) keeps the most
+    recent activation matrices, oldest first, starting from the all-zero
+    initial state; the adaptation reverse pass consumes it. Entries are not
+    copies: ``lca_step`` binds a new array to ``a`` every step, and the newest
+    entry is ``a`` itself, so ``a`` must never be written in place. In a
+    state that ``encode_many`` returns, ``v``, ``a``, ``inhibition`` and the
+    ``a_history`` entries may be views of a stack's arrays. ``lam`` and
+    ``eta`` record the run's threshold and Euler step, which that reverse
+    pass also needs.
     """
 
     v: np.ndarray
@@ -168,10 +177,19 @@ def trace_energy(s: np.ndarray, a: np.ndarray, d: Dictionary, lam: float) -> flo
 def lca_step(state: LcaState, drive: np.ndarray, kernel: GramKernel, config: LcaConfig) -> LcaState:
     """One explicit-Euler update of the membrane potentials, then re-threshold.
 
-    Uses ``state.inhibition`` and refreshes it for the new activations. Mutates
-    and returns ``state``; the energy trace is maintained by the caller.
+    Uses ``state.inhibition`` and refreshes it for the new activations.
+    Updates ``v`` in place, binds new ``a`` and ``inhibition`` arrays and
+    returns ``state``; the energy trace is maintained by the caller.
     """
-    state.v = state.v + config.eta * (drive - state.v - state.inhibition)
+    # v + eta * (drive - v - inhibition), in place. The old a and inhibition
+    # are let go before the new ones are built, so a stack holds at most five
+    # arrays of its size at a time.
+    step = drive - state.v
+    step -= state.inhibition
+    step *= config.eta
+    state.v += step
+    del step
+    state.a = state.inhibition = None
     state.a = threshold(state.v, config.lam)
     state.inhibition = apply_kernel(kernel, state.a)
     state.iter += 1
@@ -186,65 +204,149 @@ def encode(
     kernel: GramKernel | None = None,
     trace_window: int = 0,
 ):
-    """Run the LCA dynamics from v = 0 until convergence or the iteration budget.
+    """Run the LCA dynamics on one signal: ``encode_many`` on a stack of one.
 
-    Stops when the relative change of the trace energy drops below
-    ``config.rel_tol`` (the test is armed only once some unit has activated,
-    or when no drive exceeds the threshold, so the solver cannot declare
-    victory while potentials are still charging). Set ``trace_window`` > 0 to
-    record the last ``trace_window`` + 1 activation matrices for the
-    adaptation reverse pass.
-
-    Returns (SparseCode, LcaState).
+    Returns (SparseCode, LcaState) and raises the ChirpcodeError the solve
+    failed with.
     """
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise SignalError("signal contains non-finite samples")
+    (result,) = encode_many([s], d, config, kernel=kernel, trace_window=trace_window)
+    if isinstance(result, ChirpcodeError):
+        raise result
+    return result
+
+
+@dataclass(eq=False)
+class _Solve:
+    """One utterance's bookkeeping inside a stacked solve."""
+
+    index: int
+    trace: list
+    silent: bool
+    activated: bool = False
+    history: deque | None = None
+
+
+def _trace_energies(stack: LcaState, drive: np.ndarray, solves, unit_cost: float):
+    """Each stack item's trace energy and active count, without reconstructing.
+
+    Unit-norm atoms make the synthesis Gram operator a -> a + K a, so
+    1/2 ||s - recon||^2 = 1/2 ||s||^2 - <a, drive> + 1/2 <a, a + K a>. Each
+    item's sum is the expression a lone solve evaluates, on that item's
+    views, so it has the same bits. Overflow is left to the caller's
+    finiteness test, which reports divergence as a SolverError. Being a
+    function of its own, it leaves no reference to this step's arrays behind
+    for the next ``lca_step``.
+    """
+    a = stack.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a + stack.inhibition
+    out = []
+    for j, solve in enumerate(solves):
+        count = np.count_nonzero(a[j])
+        out.append((solve.trace[0] - float(np.vdot(a[j], drive[j]))
+                    + 0.5 * float(np.vdot(a[j], gram[j])) + unit_cost * count, count))
+    return out
+
+
+def encode_many(
+    signals,
+    d: Dictionary,
+    config: LcaConfig,
+    *,
+    kernel: GramKernel | None = None,
+    trace_window: int = 0,
+):
+    """Run the LCA dynamics from v = 0 on a stack of signals that share a frame count.
+
+    One solver loop steps all of them as (B, n, T) arrays, while each
+    utterance keeps its own energy trace, stop test and freeze: its code,
+    iteration count and trace are bit-identical to a solve of it alone. A
+    solve stops when the relative change of its trace energy drops below
+    ``config.rel_tol`` (the test is armed only once some unit of it has
+    activated, or when none of its drive exceeds the threshold, so the solver
+    cannot declare victory while potentials are still charging). A stopped
+    utterance leaves the stack; its state keeps that iteration's arrays, which
+    are never written again. Set ``trace_window`` > 0 to record the last
+    ``trace_window`` + 1 activation matrices of each solve for the adaptation
+    reverse pass.
+
+    Returns a list in input order holding, for each signal, (SparseCode,
+    LcaState) or the ChirpcodeError it failed with: a SignalError for a
+    signal too short or not finite, a SolverError when its energy stops being
+    finite. Valid signals of different frame counts raise SignalError.
+    """
+    results = [None] * len(signals)
+    solves, drives = [], []
+    for index, s in enumerate(signals):
+        try:
+            s = np.asarray(s, dtype=float)
+            if not np.all(np.isfinite(s)):
+                raise SignalError("signal contains non-finite samples")
+            drive = project(d, s)
+        except ChirpcodeError as exc:
+            results[index] = exc
+            continue
+        silent = float(np.max(np.abs(drive), initial=0.0)) <= config.lam
+        solves.append(_Solve(index=index, trace=[0.5 * float(s @ s)], silent=silent))
+        drives.append(drive)
+    if not solves:
+        return results
+    frame_counts = sorted({x.shape[1] for x in drives})
+    if len(frame_counts) > 1:
+        raise SignalError(f"a stacked solve needs one frame count, got {frame_counts}")
     if kernel is None:
         kernel = gram_kernel(d)
-    drive = project(d, s)
-    n, t_frames = drive.shape
+    drive = np.stack(drives)
+    del drives
 
-    state = LcaState(
-        v=np.zeros((n, t_frames)), a=np.zeros((n, t_frames)),
-        inhibition=np.zeros((n, t_frames)), lam=config.lam, eta=config.eta,
+    stack = LcaState(
+        v=np.zeros(drive.shape), a=np.zeros(drive.shape),
+        inhibition=np.zeros(drive.shape), lam=config.lam, eta=config.eta,
     )
     if trace_window > 0:
-        state.a_history = deque(maxlen=trace_window + 1)
-        state.a_history.append(state.a)
+        for j, solve in enumerate(solves):
+            solve.history = deque([stack.a[j]], maxlen=trace_window + 1)
+    unit_cost = 0.5 * config.lam * config.lam
 
-    e_prev = 0.5 * float(s @ s)
-    state.energy_trace.append(e_prev)
-    stoppable_silent = float(np.max(np.abs(drive), initial=0.0)) <= config.lam
-    activated = False
+    def finish(j, solve):
+        state = LcaState(
+            v=stack.v[j], a=stack.a[j], inhibition=stack.inhibition[j], iter=stack.iter,
+            energy_trace=solve.trace, a_history=solve.history, lam=config.lam, eta=config.eta,
+        )
+        results[solve.index] = (SparseCode.from_dense(state.a, config.lam), state)
 
     for it in range(1, config.max_iters + 1):
-        lca_step(state, drive, kernel, config)
-        # trace_energy without reconstructing: unit-norm atoms make the
-        # synthesis Gram operator a -> a + K a, so 1/2 ||s - recon||^2 =
-        # 1/2 ||s||^2 - <a, drive> + 1/2 <a, a + K a>. Overflow is left to the
-        # finiteness test below, which reports divergence as a SolverError.
-        a = state.a
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = (state.energy_trace[0] - float(np.vdot(a, drive))
-                 + 0.5 * float(np.vdot(a, a + state.inhibition))
-                 + 0.5 * config.lam * config.lam * np.count_nonzero(a))
-        if not math.isfinite(e):
-            raise SolverError(
-                f"non-finite energy at iteration {it}; the Euler step eta={config.eta} "
-                "may be too large for this dictionary"
-            )
-        state.energy_trace.append(e)
-        if state.a_history is not None:
-            state.a_history.append(state.a)
-        activated = activated or bool(np.any(state.a))
-        if activated or stoppable_silent:
-            if abs(e - e_prev) / max(abs(e), 1e-30) < config.rel_tol:
+        lca_step(stack, drive, kernel, config)
+        energies = _trace_energies(stack, drive, solves, unit_cost)
+        keep = []
+        for j, (solve, (e, count)) in enumerate(zip(solves, energies)):
+            if not math.isfinite(e):
+                results[solve.index] = SolverError(
+                    f"non-finite energy at iteration {it}; the Euler step eta={config.eta} "
+                    "may be too large for this dictionary"
+                )
+                continue
+            solve.trace.append(e)
+            if solve.history is not None:
+                solve.history.append(stack.a[j])
+            solve.activated = solve.activated or count > 0
+            if solve.activated or solve.silent:
+                if abs(e - solve.trace[-2]) / max(abs(e), 1e-30) < config.rel_tol:
+                    finish(j, solve)
+                    continue
+            keep.append(j)
+        if len(keep) < len(solves):
+            solves = [solves[j] for j in keep]
+            if not solves:
                 break
-        e_prev = e
+            # Fancy indexing copies, so the states handed out above keep the
+            # arrays of the iteration they stopped at.
+            stack.v, stack.a = stack.v[keep], stack.a[keep]
+            stack.inhibition, drive = stack.inhibition[keep], drive[keep]
 
-    code = SparseCode.from_dense(state.a, config.lam)
-    return code, state
+    for j, solve in enumerate(solves):
+        finish(j, solve)
+    return results
 
 
 def energy(s: np.ndarray, code: SparseCode, d: Dictionary, lam: float, alpha: float = 1.0) -> float:

@@ -12,7 +12,12 @@ import numpy as np
 from ._parallel import pmap, workers
 from .dictionary import Dictionary, gram_kernel, reconstruct
 from .errors import ChirpcodeError, ConfigError, SignalError
-from .lca import LcaConfig, SparseCode, encode
+from .lca import LcaConfig, SparseCode, encode_many
+
+# Cap on the elements of each (utterances, channels, frames) array of one
+# stacked solve. 2**18 holds the 20-utterance desk corpus (64 channels, 30
+# frames) in one stack, or four 1 s utterances of the 700-channel 48 kHz bank.
+STACK_ELEMENTS = 2 ** 18
 
 
 def snr(s: np.ndarray, s_hat: np.ndarray) -> float:
@@ -91,29 +96,76 @@ def corpus_signals(corpus, sample_rate):
     return ids, signals
 
 
-def encode_and_grade(utt_id, samples, d, lca_cfg, kernel=None, alpha=1.0, trace_window=0):
-    """Encode one utterance and grade it: one residual gives the SNR and the
-    ``lca.energy`` objective at weight ``alpha``. Returns (report, code, state).
+def encode_and_grade(ids, signals, d, lca_cfg, kernel=None, alpha=1.0, trace_window=0):
+    """Encode a stack of utterances that share a frame count, then grade each:
+    one residual per utterance gives its SNR and the ``lca.energy`` objective
+    at weight ``alpha``. Returns, in input order, (report, code, state) for
+    each utterance or the ChirpcodeError it failed with.
     """
-    samples = np.asarray(samples, dtype=float)
-    code, state = encode(samples, d, lca_cfg, kernel=kernel, trace_window=trace_window)
-    resid = samples - reconstruct(d, code, length=len(samples))
-    p_noise = float(resid @ resid)
-    report = UtteranceReport(
-        id=utt_id,
-        snr_db=_snr_db(float(samples @ samples), p_noise),
-        active_count=code.n_events,
-        energy=0.5 * p_noise + alpha * lca_cfg.lam * float(np.sum(np.abs(code.values))),
-        n_frames=code.n_frames,
-    )
-    return report, code, state
+    signals = [np.asarray(s, dtype=float) for s in signals]
+    solved = encode_many(signals, d, lca_cfg, kernel=kernel, trace_window=trace_window)
+    graded = []
+    for utt_id, samples, result in zip(ids, signals, solved):
+        if isinstance(result, ChirpcodeError):
+            graded.append(result)
+            continue
+        code, state = result
+        resid = samples - reconstruct(d, code, length=len(samples))
+        p_noise = float(resid @ resid)
+        report = UtteranceReport(
+            id=utt_id,
+            snr_db=_snr_db(float(samples @ samples), p_noise),
+            active_count=code.n_events,
+            energy=0.5 * p_noise + alpha * lca_cfg.lam * float(np.sum(np.abs(code.values))),
+            n_frames=code.n_frames,
+        )
+        graded.append((report, code, state))
+    return graded
 
 
-def _report_or_failure(name, utt_id, samples, d, kernel, lca_cfg):
-    try:
-        return encode_and_grade(utt_id, samples, d, lca_cfg, kernel)[0]
-    except ChirpcodeError as exc:
-        return (name, utt_id, str(exc))
+def corpus_stacks(signals, d: Dictionary, jobs: int):
+    """Split a corpus into stacks: lists of indices, in corpus order, of
+    utterances that share a frame count under ``d``.
+
+    A stack's solver arrays hold at most STACK_ELEMENTS elements, and each
+    frame count is split into at least ``jobs`` near-equal stacks (one per
+    utterance if it has fewer), so a pool of ``jobs`` workers has work for
+    each. Signals too short for one frame share a group; each fails alone.
+    """
+    groups = {}
+    for index, s in enumerate(signals):
+        size = np.size(s)
+        frames = (size - d.filter_len) // d.stride + 1 if size >= d.filter_len else 0
+        groups.setdefault(frames, []).append(index)
+    stacks = []
+    for frames, members in groups.items():
+        per_stack = max(1, STACK_ELEMENTS // (d.n_channels * max(frames, 1)))
+        count = max(-(-len(members) // per_stack), min(jobs, len(members)))
+        stacks += [chunk.tolist() for chunk in np.array_split(members, count)]
+    return stacks
+
+
+def _reports_and_codes(*args):
+    # Drop the solver states in the worker: they hold dense arrays, so only
+    # the reports and the sparse codes are kept for the whole corpus.
+    return [r if isinstance(r, ChirpcodeError) else r[:2] for r in encode_and_grade(*args)]
+
+
+def encode_corpus(ids, signals, d, lca_cfg, kernel, alpha=1.0, jobs=1):
+    """``encode_and_grade`` over a corpus, stacked by ``corpus_stacks`` and
+    spread over ``jobs`` workers. Returns, in corpus order, (report, code) for
+    each utterance or the ChirpcodeError it failed with.
+    """
+    stacks = corpus_stacks(signals, d, jobs)
+    tasks = [
+        ([ids[i] for i in stack], [signals[i] for i in stack], d, lca_cfg, kernel, alpha)
+        for stack in stacks
+    ]
+    results = [None] * len(ids)
+    for stack, graded in zip(stacks, pmap(_reports_and_codes, tasks, jobs)):
+        for index, result in zip(stack, graded):
+            results[index] = result
+    return results
 
 
 def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> BenchmarkReport:
@@ -138,22 +190,21 @@ def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> Benchm
     summaries = []
     with workers(min(jobs, len(ids))):
         for name, d in dictionaries:
-            kernel = gram_kernel(d)
-            tasks = [(name, uid, s, d, kernel, lca_cfg) for uid, s in zip(ids, signals)]
-            results = pmap(_report_or_failure, tasks, jobs)
+            results = encode_corpus(ids, signals, d, lca_cfg, gram_kernel(d), jobs=jobs)
             finite_snrs, counts, per_frame = [], [], []
             excluded = 0
-            for result in results:
-                if isinstance(result, tuple):
-                    failures.append(result)
+            for uid, result in zip(ids, results):
+                if isinstance(result, ChirpcodeError):
+                    failures.append((name, uid, str(result)))
                     continue
-                rows.append((name, result))
-                counts.append(result.active_count)
-                per_frame.append(result.active_count / max(result.n_frames, 1))
-                if math.isinf(result.snr_db):
+                row = result[0]
+                rows.append((name, row))
+                counts.append(row.active_count)
+                per_frame.append(row.active_count / max(row.n_frames, 1))
+                if math.isinf(row.snr_db):
                     excluded += 1
                 else:
-                    finite_snrs.append(result.snr_db)
+                    finite_snrs.append(row.snr_db)
             summaries.append(
                 DictionarySummary(
                     name=name,

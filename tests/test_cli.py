@@ -152,15 +152,55 @@ class TestEncodeDecode:
             ) + (out_dir / "encode_report.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_utterance_is_named_and_nothing_written(self, capsys, tmp_path, jobs):
+        """The first failure in corpus order is reported, with its utterance
+        id, and no code or report is written."""
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path, sr=8000, n=3)
+        for name in ("a_short", "z_short"):
+            save_wav(tmp_path / f"{name}.wav", np.full(10, 0.1), 8000)
+        lines = manifest.read_text().splitlines()
+        lines[2:2] = ["a_short.wav,a_short,"]
+        lines.append("z_short.wav,z_short,")
+        manifest.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "codes"
+        code, _, stderr = _run(capsys, [
+            "encode", "--manifest", str(manifest), "--dict", str(dict_path),
+            "--out-dir", str(out_dir), "--lambda", "0.02", "--jobs", jobs,
+        ])
+        assert code == 1
+        assert ("error: utterance 'a_short': signal of 10 samples is shorter than one "
+                "filter (64)") in stderr
+        assert "z_short" not in stderr
+        assert list(out_dir.iterdir()) == []
+
     def test_jobs_env_fallback(self, monkeypatch):
+        from chirpcode import ConfigError
         from chirpcode._parallel import default_jobs
 
         monkeypatch.setenv("CHIRPCODE_JOBS", "3")
         assert default_jobs() == 3
         monkeypatch.setenv("CHIRPCODE_JOBS", "junk")
-        assert default_jobs() == 1
+        with pytest.raises(ConfigError, match="CHIRPCODE_JOBS must be an integer >= 1, got 'junk'"):
+            default_jobs()
         monkeypatch.delenv("CHIRPCODE_JOBS")
         assert default_jobs() >= 1
+
+    @pytest.mark.parametrize("command", [
+        ["encode", "--dict", "missing.json", "--out-dir", "out"],
+        ["adapt", "--dict", "missing.json", "--manifest", "missing.csv"],
+        ["benchmark", "--dict", "d=missing.json", "--manifest", "missing.csv"],
+    ], ids=["encode", "adapt", "benchmark"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "junk"])
+    def test_bad_jobs_env_rejected_at_start_up(self, capsys, monkeypatch, tmp_path, command, jobs):
+        # As for --jobs: the variable is checked before any input is read.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CHIRPCODE_JOBS", jobs)
+        code, _, stderr = _run(capsys, command)
+        assert code == 2
+        assert f"CHIRPCODE_JOBS must be an integer >= 1, got {jobs!r}" in stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
         ["encode", "--dict", "missing.json", "--out-dir", "out"],

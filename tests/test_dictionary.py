@@ -222,6 +222,18 @@ class TestGramKernel:
         expected = (dense_gram(phi) @ a.ravel()).reshape(3, t_frames)
         np.testing.assert_allclose(apply_kernel(k, a), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("filter_len", [16, 24, 32])  # max_lag 1, 2, 3 at stride 8
+    @pytest.mark.parametrize("t_frames", [1, 2, 3, 5])
+    def test_apply_kernel_on_a_stack_is_per_item_bit_for_bit(self, rng, filter_len, t_frames):
+        d = random_toy_dictionary(rng, n_channels=12, filter_len=filter_len, stride=8)
+        k = gram_kernel(d)
+        a = rng.standard_normal((4, 12, t_frames))
+        a[np.abs(a) < 0.5] = 0.0
+        stacked = apply_kernel(k, a)
+        assert stacked.shape == a.shape
+        for item, out in zip(a, stacked):
+            assert np.array_equal(out, apply_kernel(k, item))
+
 
 class TestOverlapAdd:
     @pytest.mark.parametrize(

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from chirpcode import (
     CodeError,
+    SignalError,
     GammachirpParams,
     LcaConfig,
     SolverError,
     SparseCode,
     apply_kernel,
     encode,
+    encode_many,
     energy,
     export_events_csv,
     gram_kernel,
@@ -234,6 +236,94 @@ class TestEncode:
         trace = state.energy_trace
         slack = 1e-6 * trace[0]
         assert all(b <= a + slack for a, b in zip(trace, trace[1:]))
+
+
+def _assert_same_solve(got, want):
+    """Two (SparseCode, LcaState) results are the same bit for bit."""
+    (code, state), (code_ref, state_ref) = got, want
+    for name in ("channels", "frames", "values"):
+        assert np.array_equal(getattr(code, name), getattr(code_ref, name))
+    assert state.iter == state_ref.iter
+    assert state.energy_trace == state_ref.energy_trace
+    for name in ("v", "a", "inhibition"):
+        assert np.array_equal(getattr(state, name), getattr(state_ref, name))
+    if state_ref.a_history is None:
+        assert state.a_history is None
+    else:
+        assert len(state.a_history) == len(state_ref.a_history)
+        assert all(np.array_equal(x, y) for x, y in zip(state.a_history, state_ref.a_history))
+
+
+class TestEncodeMany:
+    def test_matches_per_utterance_encode(self, rng):
+        """Items that stop at different iterations leave the stack one by
+        one; every code, iteration count, trace and history is the one a
+        solve of that utterance alone gives."""
+        d = random_toy_dictionary(rng, n_channels=6, filter_len=32, stride=16)
+        k = gram_kernel(d)
+        signals = [rng.standard_normal(160) * rng.uniform(0.1, 1.0) for _ in range(5)]
+        cfg = LcaConfig(lam=0.08, eta=0.1, max_iters=3000, rel_tol=1e-5)
+        results = encode_many(signals, d, cfg, kernel=k, trace_window=7)
+        for s, result in zip(signals, results):
+            _assert_same_solve(result, encode(s, d, cfg, kernel=k, trace_window=7))
+        iters = [state.iter for _, state in results]
+        assert len(set(iters)) > 1 and max(iters) < cfg.max_iters
+
+    def test_matches_per_utterance_encode_at_the_budget(self, rng):
+        d = random_toy_dictionary(rng, n_channels=6, filter_len=32, stride=16)
+        signals = [rng.standard_normal(150) * 0.5 for _ in range(3)]
+        cfg = LcaConfig(lam=0.05, eta=0.1, max_iters=40, rel_tol=0.0)
+        for s, result in zip(signals, encode_many(signals, d, cfg)):
+            _assert_same_solve(result, encode(s, d, cfg))
+            assert result[1].iter == cfg.max_iters
+
+    def test_all_zero_item_gives_an_empty_code(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = [rng.standard_normal(128) * 0.4, np.zeros(128), rng.standard_normal(128) * 0.4]
+        cfg = LcaConfig(lam=0.05)
+        results = encode_many(signals, d, cfg)
+        code, state = results[1]
+        assert code.n_events == 0
+        assert all(e == 0.0 for e in state.energy_trace)
+        for i in (0, 2):
+            _assert_same_solve(results[i], encode(signals[i], d, cfg))
+
+    def test_diverging_items_fail_alone(self, rng):
+        """With a step far too large, each diverging item fails with its own
+        SolverError, naming the iteration a lone solve fails at, and a silent
+        item of the same stack still succeeds."""
+        p = GammachirpParams(f=1000.0, b=1.0, c=0.0, l=4.0)
+        d = make_dictionary([p] * 9, 32, 16, 8000)
+        signals = [rng.standard_normal(96) * scale for scale in (1.0, 1e-3, 1e3)]
+        signals.insert(1, np.zeros(96))
+        cfg = LcaConfig(lam=0.0, eta=1.0, max_iters=500, rel_tol=0.0)
+        results = encode_many(signals, d, cfg)
+        messages = []
+        for i in (0, 2, 3):
+            assert isinstance(results[i], SolverError)
+            with pytest.raises(SolverError) as alone:
+                encode(signals[i], d, cfg)
+            assert str(results[i]) == str(alone.value)
+            messages.append(str(results[i]))
+        assert len(set(messages)) == 3
+        code, state = results[1]
+        assert code.n_events == 0 and state.iter == cfg.max_iters
+
+    def test_bad_signals_fail_alone(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        good = rng.standard_normal(128) * 0.4
+        bad = good.copy()
+        bad[5] = np.nan
+        cfg = LcaConfig(lam=0.05)
+        results = encode_many([np.ones(8), good, bad], d, cfg)
+        assert isinstance(results[0], SignalError)
+        assert isinstance(results[2], SignalError)
+        _assert_same_solve(results[1], encode(good, d, cfg))
+
+    def test_mixed_frame_counts_rejected(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        with pytest.raises(SignalError, match="one frame count"):
+            encode_many([np.ones(64), np.ones(128)], d, LcaConfig(lam=0.05))
 
 
 class TestEnergy:

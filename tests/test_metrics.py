@@ -23,7 +23,9 @@ from chirpcode import (
     snr,
     sparsity,
 )
+from chirpcode import metrics
 from chirpcode.metrics import (
+    corpus_stacks,
     write_report_csv,
     write_report_json,
     write_summary_csv,
@@ -173,6 +175,31 @@ class TestBenchmark:
         assert parallel.summaries == serial.summaries
         assert multiprocessing.active_children() == []
 
+    def test_rows_do_not_depend_on_the_stacks(self, rng, monkeypatch):
+        """Two frame counts, an utterance too short for one frame, and stacks
+        from one per utterance to one per frame count, at one and two jobs:
+        the rows, failures and summaries are the same."""
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        d2 = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        corpus = _corpus_for(d, rng, n=5)
+        corpus[1:3] = [Utterance(id=u.id, samples=u.samples[:80], sample_rate=u.sample_rate)
+                       for u in corpus[1:3]]
+        corpus.insert(2, Utterance(id="tooshort", samples=np.ones(4) * 0.1,
+                                   sample_rate=d.sample_rate))
+        reports = []
+        for elements, jobs in ((metrics.STACK_ELEMENTS, 1), (metrics.STACK_ELEMENTS, 2),
+                               (1, 1), (4 * 4, 1)):
+            monkeypatch.setattr(metrics, "STACK_ELEMENTS", elements)
+            reports.append(benchmark(corpus, [("a", d), ("b", d2)], LcaConfig(lam=0.03),
+                                     jobs=jobs))
+        assert len(reports[0].rows) == 10 and len(reports[0].failures) == 2
+        assert [row.id for _, row in reports[0].rows[:5]] == [
+            "utt0", "utt1", "utt2", "utt3", "utt4"]
+        for report in reports[1:]:
+            assert report.rows == reports[0].rows
+            assert report.failures == reports[0].failures
+            assert report.summaries == reports[0].summaries
+
     def test_geometry_mismatch_rejected(self, rng):
         d1 = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
         d2 = random_toy_dictionary(rng, n_channels=4, filter_len=16, stride=8)
@@ -203,3 +230,37 @@ class TestBenchmark:
         assert len(payload["rows"]) == len(report.rows)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["summaries"][0]["dictionary"] == "base"
+
+
+class TestCorpusStacks:
+    def _signals(self, d, frames):
+        return [np.zeros((t - 1) * d.stride + d.filter_len) for t in frames]
+
+    def test_one_stack_per_frame_count_at_one_job(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = self._signals(d, [3, 5, 3, 3, 5])
+        assert corpus_stacks(signals, d, jobs=1) == [[0, 2, 3], [1, 4]]
+
+    def test_each_frame_count_is_split_for_the_pool(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = self._signals(d, [3] * 7 + [5])
+        assert corpus_stacks(signals, d, jobs=3) == [[0, 1, 2], [3, 4], [5, 6], [7]]
+
+    def test_stacks_are_capped_in_elements(self, rng, monkeypatch):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        monkeypatch.setattr(metrics, "STACK_ELEMENTS", 2 * 4 * 3)  # two 3-frame items
+        signals = self._signals(d, [3] * 5)
+        assert corpus_stacks(signals, d, jobs=1) == [[0, 1], [2, 3], [4]]
+
+    def test_desk_corpus_is_one_stack(self):
+        """The cap holds the 20-utterance desk corpus: 64 channels, 30 frames."""
+        from chirpcode import init_gammatone_dictionary
+
+        d = init_gammatone_dictionary(64, 80.0, 7600.0, 256, 128, 16000)
+        signals = [np.zeros(4000)] * 20
+        assert corpus_stacks(signals, d, jobs=1) == [list(range(20))]
+
+    def test_too_short_signals_share_a_stack(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = [np.ones(4), np.zeros(32), np.ones(31)]
+        assert corpus_stacks(signals, d, jobs=1) == [[0, 2], [1]]
