@@ -19,7 +19,8 @@ same thing:
 (B, n, T) arrays in one loop; ``encode`` is a stack of one. Every stack item
 is its own matrix product with the shape of a lone solve, and each keeps its
 own energy trace, stop test and freeze, so a code does not depend on the
-stack it was solved in.
+stack it was solved in. A returned state never holds a view that would
+keep a larger stack alive.
 """
 
 from __future__ import annotations
@@ -72,13 +73,15 @@ class LcaState:
     (B, n, T). ``inhibition`` is ``apply_kernel(kernel, a)``, kept current by
     ``lca_step``. ``a_history`` (when recording is enabled) keeps the most
     recent activation matrices, oldest first, starting from the all-zero
-    initial state; the adaptation reverse pass consumes it. Entries are not
-    copies: ``lca_step`` binds a new array to ``a`` every step, and the newest
-    entry is ``a`` itself, so ``a`` must never be written in place. In a
-    state that ``encode_many`` returns, ``v``, ``a``, ``inhibition`` and the
-    ``a_history`` entries may be views of a stack's arrays. ``lam`` and
-    ``eta`` record the run's threshold and Euler step, which that reverse
-    pass also needs.
+    initial state; the adaptation reverse pass consumes it. While solving,
+    entries are not copies: ``lca_step`` binds a new array to ``a`` every
+    step, and the newest entry is ``a`` itself, so ``a`` must never be
+    written in place. ``lca_step`` does update ``v`` in place. A state that
+    ``encode_many`` returns holds no view of a larger stack: ``v``, ``a``,
+    ``inhibition`` and the ``a_history`` entries are copied out of a stack
+    of several and are views only of a one-item stack. ``lam`` and ``eta``
+    record the run's threshold and Euler step, which that reverse pass also
+    needs.
     """
 
     v: np.ndarray
@@ -248,6 +251,13 @@ def _trace_energies(stack: LcaState, drive: np.ndarray, solves, unit_cost: float
     return out
 
 
+def _own(item: np.ndarray) -> np.ndarray:
+    """A stack item as a result may hold it: a view of a larger stack would
+    keep the whole stack alive, so it is copied; a view of a stack of one
+    spans no more than itself and is kept."""
+    return item if item.base is None or item.base.nbytes == item.nbytes else item.copy()
+
+
 def encode_many(
     signals,
     d: Dictionary,
@@ -265,10 +275,10 @@ def encode_many(
     ``config.rel_tol`` (the test is armed only once some unit of it has
     activated, or when none of its drive exceeds the threshold, so the solver
     cannot declare victory while potentials are still charging). A stopped
-    utterance leaves the stack; its state keeps that iteration's arrays, which
-    are never written again. Set ``trace_window`` > 0 to record the last
-    ``trace_window`` + 1 activation matrices of each solve for the adaptation
-    reverse pass.
+    utterance leaves the stack; its state holds copies of that iteration's
+    arrays, so it does not keep the stack alive. Set ``trace_window`` > 0 to
+    record the last ``trace_window`` + 1 activation matrices of each solve
+    for the adaptation reverse pass.
 
     Returns a list in input order holding, for each signal, (SparseCode,
     LcaState) or the ChirpcodeError it failed with: a SignalError for a
@@ -309,9 +319,13 @@ def encode_many(
     unit_cost = 0.5 * config.lam * config.lam
 
     def finish(j, solve):
+        v, a, inhibition = (_own(x[j]) for x in (stack.v, stack.a, stack.inhibition))
+        history = solve.history
+        if history is not None:
+            history = deque([_own(h) for h in list(history)[:-1]] + [a], maxlen=history.maxlen)
         state = LcaState(
-            v=stack.v[j], a=stack.a[j], inhibition=stack.inhibition[j], iter=stack.iter,
-            energy_trace=solve.trace, a_history=solve.history, lam=config.lam, eta=config.eta,
+            v=v, a=a, inhibition=inhibition, iter=stack.iter, energy_trace=solve.trace,
+            a_history=history, lam=config.lam, eta=config.eta,
         )
         results[solve.index] = (SparseCode.from_dense(state.a, config.lam), state)
 
@@ -339,8 +353,6 @@ def encode_many(
             solves = [solves[j] for j in keep]
             if not solves:
                 break
-            # Fancy indexing copies, so the states handed out above keep the
-            # arrays of the iteration they stopped at.
             stack.v, stack.a = stack.v[keep], stack.a[keep]
             stack.inhibition, drive = stack.inhibition[keep], drive[keep]
 

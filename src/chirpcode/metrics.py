@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import pmap, workers
-from .dictionary import Dictionary, gram_kernel, reconstruct
+from .dictionary import Dictionary, gram_kernel, n_frames, reconstruct
 from .errors import ChirpcodeError, ConfigError, SignalError
 from .lca import LcaConfig, SparseCode, encode_many
 
@@ -134,8 +134,10 @@ def corpus_stacks(signals, d: Dictionary, jobs: int):
     """
     groups = {}
     for index, s in enumerate(signals):
-        size = np.size(s)
-        frames = (size - d.filter_len) // d.stride + 1 if size >= d.filter_len else 0
+        try:
+            frames = n_frames(np.size(s), d.filter_len, d.stride)
+        except SignalError:
+            frames = 0
         groups.setdefault(frames, []).append(index)
     stacks = []
     for frames, members in groups.items():

@@ -89,6 +89,20 @@ class TestLcaStep:
         a[1, 2] = 5.0
         assert apply_kernel(k, a)[1, 2] == 0.0
 
+    def test_updates_v_in_place(self, rng):
+        """``lca_step`` writes the new potentials into ``state.v``: a caller
+        holding the array it passed in sees it change."""
+        d = random_toy_dictionary(rng)
+        k = gram_kernel(d)
+        cfg = LcaConfig(lam=0.2, eta=0.1)
+        v = rng.standard_normal((3, 4))
+        v0, a0 = v.copy(), threshold(v, cfg.lam)
+        state = LcaState(v=v, a=a0, inhibition=apply_kernel(k, a0), lam=cfg.lam, eta=cfg.eta)
+        drive = rng.standard_normal((3, 4))
+        lca_step(state, drive, k, cfg)
+        assert state.v is v
+        assert np.array_equal(v, v0 + cfg.eta * (drive - v0 - apply_kernel(k, a0)))
+
     def test_activation_consistency(self, rng):
         d = random_toy_dictionary(rng)
         k = gram_kernel(d)
@@ -268,6 +282,22 @@ class TestEncodeMany:
             _assert_same_solve(result, encode(s, d, cfg, kernel=k, trace_window=7))
         iters = [state.iter for _, state in results]
         assert len(set(iters)) > 1 and max(iters) < cfg.max_iters
+
+    def test_states_of_a_stack_own_their_arrays(self, rng):
+        """Items that stop early hold copies of their arrays and history,
+        not views that keep the stack alive; the last one left is a stack of
+        one, whose views span no more than its own item. The newest history
+        entry is still ``a`` itself."""
+        d = random_toy_dictionary(rng, n_channels=6, filter_len=32, stride=16)
+        signals = [rng.standard_normal(160) * rng.uniform(0.1, 1.0) for _ in range(5)]
+        cfg = LcaConfig(lam=0.08, eta=0.1, max_iters=3000, rel_tol=1e-5)
+        results = encode_many(signals, d, cfg, trace_window=3)
+        assert len({state.iter for _, state in results}) > 1
+        for _, state in results:
+            for x in (state.v, state.a, state.inhibition, *state.a_history):
+                assert x.shape == (6, 9)
+                assert x.base is None or x.base.nbytes == x.nbytes
+            assert state.a_history[-1] is state.a
 
     def test_matches_per_utterance_encode_at_the_budget(self, rng):
         d = random_toy_dictionary(rng, n_channels=6, filter_len=32, stride=16)
