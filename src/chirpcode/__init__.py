@@ -9,13 +9,11 @@ sparsity.
 from .adapt import (
     AdaptConfig,
     AdamaxState,
-    ChannelParams,
     EpochStats,
     ParamBounds,
     ParamGradients,
     adamax_step,
     adapt_corpus,
-    atom_jacobian,
     default_bounds,
     dictionary_jacobians,
     energy_gradient,
@@ -43,7 +41,6 @@ from .dictionary import (
     project,
     reconstruct,
     save_dictionary,
-    synthesize_atom,
 )
 from .errors import (
     AudioIngestError,

@@ -31,7 +31,6 @@ import numpy as np
 from ._parallel import pmap, workers
 from .dictionary import (
     Dictionary,
-    GammachirpParams,
     GramKernel,
     apply_kernel,
     erb,
@@ -43,7 +42,7 @@ from .dictionary import (
     overlap_add,
     signal_windows,
 )
-from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError, SynthesisError
+from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError
 from .lca import LcaConfig, LcaState
 from .metrics import corpus_signals, encode_and_grade
 
@@ -118,31 +117,6 @@ class AdaptConfig:
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """The four parameter vectors of a dictionary, one entry per channel."""
-
-    c: np.ndarray
-    b: np.ndarray
-    l: np.ndarray
-    f: np.ndarray
-
-    @classmethod
-    def from_dictionary(cls, d: Dictionary) -> "ChannelParams":
-        return cls(
-            c=np.array([p.c for p in d.channels]),
-            b=np.array([p.b for p in d.channels]),
-            l=np.array([p.l for p in d.channels]),
-            f=np.array([p.f for p in d.channels]),
-        )
-
-    def to_channels(self):
-        return [
-            GammachirpParams(f=float(f), b=float(b), c=float(c), l=float(l))
-            for c, b, l, f in zip(self.c, self.b, self.l, self.f)
-        ]
-
-
-@dataclass(frozen=True)
 class ParamGradients:
     """Energy partials per channel; d_f is identically zero in ALCA mode."""
 
@@ -175,23 +149,23 @@ class AdamaxState:
         )
 
 
-def _normalized_jacobians(f, b, c, l, filter_len: int, sample_rate: float):
-    """Partials of the unit-norm atoms w.r.t. (c, b, l, f), shape (n, filter_len) each."""
-    g, env, phase, t = gammachirp_parts(f, b, c, l, filter_len, sample_rate)
+def dictionary_jacobians(d: Dictionary):
+    """Partials of the unit-norm atoms w.r.t. (c, b, l, f), a dict of (N, filter_len) arrays.
+
+    Each row is orthogonal to its channel's atom, as differentiating through
+    the L2 normalization requires.
+    """
+    g, env, phase, t = gammachirp_parts(d.f, d.b, d.c, d.l, d.filter_len, float(d.sample_rate))
     norms = np.linalg.norm(g, axis=1)
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise SynthesisError("degenerate atom while computing jacobians")
     ghat = g / norms[:, None]
     log_t = np.log(t)
     env_sin = env * np.sin(phase)
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
 
     raw = {
         "c": -log_t * env_sin,
-        "b": (-2.0 * np.pi * erb(f))[:, None] * t * g,
+        "b": (-2.0 * np.pi * erb(d.f))[:, None] * t * g,
         "l": log_t * g,
-        "f": (-2.0 * np.pi * b * erb_slope(f))[:, None] * t * g
+        "f": (-2.0 * np.pi * d.b * erb_slope(d.f))[:, None] * t * g
         - 2.0 * np.pi * t * env_sin,
     }
     out = {}
@@ -202,28 +176,6 @@ def _normalized_jacobians(f, b, c, l, filter_len: int, sample_rate: float):
             raise GradientError(f"non-finite atom jacobian for parameter {name!r}")
         out[name] = jac
     return out
-
-
-def atom_jacobian(p: GammachirpParams, filter_len: int, sample_rate: float):
-    """Partials of one normalized atom w.r.t. its parameters.
-
-    Returns (d_atom/dc, d_atom/db, d_atom/dl, d_atom/df). Each vector is
-    orthogonal to the atom itself, as differentiating through the L2
-    normalization requires.
-    """
-    jac = _normalized_jacobians(
-        np.array([p.f]), np.array([p.b]), np.array([p.c]), np.array([p.l]),
-        filter_len, float(sample_rate),
-    )
-    return jac["c"][0], jac["b"][0], jac["l"][0], jac["f"][0]
-
-
-def dictionary_jacobians(d: Dictionary):
-    """Normalized-atom jacobians for every channel, as a dict of (N, filter_len) arrays."""
-    params = ChannelParams.from_dictionary(d)
-    return _normalized_jacobians(
-        params.f, params.b, params.c, params.l, d.filter_len, float(d.sample_rate)
-    )
 
 
 def _accumulate_lag_correlations(q: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -329,18 +281,20 @@ def energy_gradient(
 
 
 def adamax_step(
-    params: ChannelParams,
+    d: Dictionary,
     grads: ParamGradients,
     moments: AdamaxState,
     config: AdaptConfig,
     step_index: int,
-):
-    """One Adamax update of the adapted parameter vectors, then clamp them to bounds.
+) -> dict:
+    """One Adamax update of ``d``'s parameter arrays, clamped to bounds.
 
-    ``step_index`` is 1-based (moments are zero before the first step). The
-    modulation parameters (c, b, l) use ``config.lr_mod``. In ALCA-CF mode the
-    centre frequencies are stepped too, with ``config.lr_cf``; in ALCA mode
-    they are neither stepped nor clamped, so they stay bit-identical. A lane
+    Returns the stepped arrays as a dict keyed by PARAM_NAMES, ready for
+    ``make_dictionary``; ``moments`` is updated in place. ``step_index`` is
+    1-based (moments are zero before the first step). The modulation
+    parameters (c, b, l) use ``config.lr_mod``. In ALCA-CF mode the centre
+    frequencies are stepped too, with ``config.lr_cf``; in ALCA mode they are
+    neither stepped nor clamped, so they stay bit-identical. A lane
     whose gradient has been zero at every step so far, and that lies inside
     its bounds, is left bit-identical.
     """
@@ -348,13 +302,13 @@ def adamax_step(
         raise OptimizerError(f"step_index must be >= 1, got {step_index}")
     correction = 1.0 - ADAMAX_BETA1 ** step_index
     adapted = PARAM_NAMES if config.mode == MODE_ALCA_CF else ("c", "b", "l")
-    updated = {name: getattr(params, name) for name in PARAM_NAMES}
+    updated = {name: getattr(d, name) for name in PARAM_NAMES}
     for name in adapted:
         lr = config.lr_cf if name == "f" else config.lr_mod
         g = grads.get(name)
         m = ADAMAX_BETA1 * moments.m[name] + (1.0 - ADAMAX_BETA1) * g
         u = np.maximum(ADAMAX_BETA2 * moments.u[name], np.abs(g))
-        theta = getattr(params, name) - (lr / correction) * m / (u + ADAMAX_EPS)
+        theta = getattr(d, name) - (lr / correction) * m / (u + ADAMAX_EPS)
         lo, hi = getattr(config.bounds, name)
         theta = np.clip(theta, lo, hi)
         if not np.all(np.isfinite(theta)):
@@ -362,7 +316,7 @@ def adamax_step(
         moments.m[name] = m
         moments.u[name] = u
         updated[name] = theta
-    return ChannelParams(**updated), moments
+    return updated
 
 
 @dataclass(frozen=True)
@@ -401,13 +355,18 @@ def adapt_corpus(
     processes, open for the whole run; the optimizer step stays a serial
     barrier and the gradient mean keeps batch order.
     """
+    nyquist = d0.sample_rate / 2
+    if adapt_cfg.mode == MODE_ALCA_CF and adapt_cfg.bounds.f[1] >= nyquist:
+        raise ConfigError(
+            f"frequency upper bound {adapt_cfg.bounds.f[1]} Hz must lie below "
+            f"Nyquist ({nyquist} Hz) in alca-cf mode"
+        )
     corpus = list(corpus)
     if not corpus:
         raise ConfigError("corpus is empty")
     ids, signals = corpus_signals(corpus, d0.sample_rate)
 
     rng = np.random.default_rng(adapt_cfg.seed)
-    params = ChannelParams.from_dictionary(d0)
     moments = AdamaxState.zeros(d0.n_channels)
     d = d0
     kernel = gram_kernel(d)
@@ -437,8 +396,10 @@ def adapt_corpus(
                     d_f=np.mean([g.d_f for g in batch_grads], axis=0),
                 )
                 step_index += 1
-                params, moments = adamax_step(params, mean_grads, moments, adapt_cfg, step_index)
-                d = make_dictionary(params.to_channels(), d.filter_len, d.stride, d.sample_rate)
+                stepped = adamax_step(d, mean_grads, moments, adapt_cfg, step_index)
+                d = make_dictionary(
+                    **stepped, filter_len=d.filter_len, stride=d.stride, sample_rate=d.sample_rate
+                )
                 kernel = gram_kernel(d)
             history.append(
                 EpochStats(

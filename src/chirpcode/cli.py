@@ -166,9 +166,8 @@ def cmd_build_dict(args) -> int:
         sample_rate=sr,
     )
     save_dictionary(d, cfg["out"])
-    freqs = [p.f for p in d.channels]
     print(
-        f"wrote {d.n_channels} channels spanning {min(freqs):.1f}-{max(freqs):.1f} Hz "
+        f"wrote {d.n_channels} channels spanning {d.f.min():.1f}-{d.f.max():.1f} Hz "
         f"(filter_len={d.filter_len}, stride={d.stride}, sr={d.sample_rate}) to {cfg['out']}"
     )
     return 0

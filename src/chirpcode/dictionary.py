@@ -11,7 +11,6 @@ dynamics use for lateral inhibition.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ def erb_slope(f):
 
 @dataclass(frozen=True)
 class GammachirpParams:
-    """Per-channel Gammachirp filter parameters.
+    """One channel's Gammachirp parameters, as ``Dictionary.channels`` lists them.
 
     f: centre frequency in Hz
     b: envelope bandwidth scale (dimensionless)
@@ -58,18 +57,6 @@ class GammachirpParams:
     b: float
     c: float
     l: float
-
-    def __post_init__(self):
-        for name in ("f", "b", "c", "l"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"parameter {name!r} must be finite, got {value!r}")
-        if self.f <= 0:
-            raise ParameterError(f"centre frequency must be positive, got {self.f}")
-        if self.b <= 0:
-            raise ParameterError(f"bandwidth scale must be positive, got {self.b}")
-        if self.l < 1:
-            raise ParameterError(f"envelope order must be >= 1, got {self.l}")
 
 
 def _time_grid(filter_len: int, sample_rate: float) -> np.ndarray:
@@ -97,58 +84,36 @@ def gammachirp_parts(f, b, c, l, filter_len: int, sample_rate: float):
     return g, env, phase, t
 
 
-def synthesize_atom(p: GammachirpParams, filter_len: int, sample_rate: float):
-    """Sample one Gammachirp atom and L2-normalize it.
-
-    Returns (atom, raw_norm): the unit-norm sample vector and the norm of the
-    raw atom before normalization (the gradient code needs it).
-    """
-    if not 0 < p.f < sample_rate / 2:
-        raise ParameterError(
-            f"centre frequency {p.f} Hz outside (0, {sample_rate / 2}) at sr={sample_rate}"
-        )
-    g, _, _, _ = gammachirp_parts(p.f, p.b, p.c, p.l, filter_len, sample_rate)
-    g = g[0]
-    norm = float(np.linalg.norm(g))
-    if not math.isfinite(norm) or norm == 0.0:
-        raise SynthesisError(
-            f"degenerate atom (norm={norm!r}) for f={p.f}, b={p.b}, c={p.c}, l={p.l}"
-        )
-    return g / norm, norm
-
-
-def synthesize_atoms(channels, filter_len: int, sample_rate: float):
-    """Sample and normalize all channels at once; returns (atoms, raw_norms)."""
-    f = np.array([p.f for p in channels])
-    b = np.array([p.b for p in channels])
-    c = np.array([p.c for p in channels])
-    l = np.array([p.l for p in channels])
-    if np.any(f >= sample_rate / 2):
-        bad = int(np.argmax(f >= sample_rate / 2))
-        raise ParameterError(
-            f"channel {bad}: centre frequency {f[bad]} Hz at or above Nyquist ({sample_rate / 2} Hz)"
-        )
-    g, _, _, _ = gammachirp_parts(f, b, c, l, filter_len, sample_rate)
-    norms = np.linalg.norm(g, axis=1)
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        bad = int(np.argmin(np.where(np.isfinite(norms), norms, -1.0)))
-        raise SynthesisError(f"degenerate atom in channel {bad} (norm={norms[bad]!r})")
-    return g / norms[:, None], norms
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
-    """Immutable strided Gammachirp dictionary with cached unit-norm atoms."""
+    """Immutable strided Gammachirp dictionary with cached unit-norm atoms.
 
-    channels: tuple
+    ``f``, ``b``, ``c`` and ``l`` are read-only float arrays with one entry
+    per channel: the centre frequency in Hz, the envelope bandwidth scale,
+    the chirp parameter and the Gamma envelope order (see GammachirpParams).
+    Build one with ``make_dictionary``. Dictionaries compare by identity;
+    compare their arrays with ``np.array_equal``.
+    """
+
+    f: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    l: np.ndarray = field(repr=False)
     filter_len: int
     stride: int
     sample_rate: int
     atoms: np.ndarray = field(repr=False)
 
     @property
+    def channels(self) -> tuple:
+        """The parameters as one GammachirpParams record per channel, built from the arrays."""
+        return tuple(
+            GammachirpParams(*map(float, row)) for row in zip(self.f, self.b, self.c, self.l)
+        )
+
+    @property
     def n_channels(self) -> int:
-        return len(self.channels)
+        return len(self.f)
 
     @property
     def frames_per_filter(self) -> int:
@@ -156,21 +121,59 @@ class Dictionary:
         return -(-self.filter_len // self.stride)
 
 
-def make_dictionary(channels, filter_len: int, stride: int, sample_rate) -> Dictionary:
-    """Validate geometry, synthesize atoms, and assemble a Dictionary."""
+def _check_params(f, b, c, l, sample_rate) -> None:
+    """Raise ParameterError naming the first channel outside the parameter domain."""
+    nyquist = sample_rate / 2
+    finite = np.isfinite(f) & np.isfinite(b) & np.isfinite(c) & np.isfinite(l)
+    checks = (
+        (~finite, "parameters must be finite"),
+        (f <= 0, "centre frequency must be positive"),
+        (f >= nyquist, f"centre frequency at or above Nyquist ({nyquist} Hz)"),
+        (b <= 0, "bandwidth scale must be positive"),
+        (l < 1, "envelope order must be >= 1"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        ch = int(np.argmax(bad))
+        reason = next(why for mask, why in checks if mask[ch])
+        raise ParameterError(
+            f"channel {ch}: {reason}, got f={f[ch]}, b={b[ch]}, c={c[ch]}, l={l[ch]}"
+        )
+
+
+def make_dictionary(f, b, c, l, filter_len: int, stride: int, sample_rate) -> Dictionary:
+    """Copy and validate the parameter arrays and geometry, synthesize the
+    L2-normalized atoms, and assemble a Dictionary.
+
+    ``f``, ``b``, ``c`` and ``l`` are equal-length 1-D sequences, one entry
+    per channel. The dictionary holds read-only copies, so later changes to
+    the caller's arrays do not reach it.
+    """
     if filter_len < 1:
         raise ConfigError(f"filter_len must be >= 1, got {filter_len}")
     if not 1 <= stride <= filter_len:
         raise ConfigError(f"stride must be in [1, filter_len], got {stride}")
     if sample_rate <= 0:
         raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
-    channels = tuple(channels)
-    if not channels:
+    params = [np.array(x, dtype=float) for x in (f, b, c, l)]
+    if any(p.ndim != 1 or p.shape != params[0].shape for p in params):
+        raise ConfigError(
+            f"f, b, c and l must be equal-length 1-D arrays, got shapes "
+            f"{[p.shape for p in params]}"
+        )
+    if not params[0].size:
         raise ConfigError("dictionary needs at least one channel")
-    atoms, _ = synthesize_atoms(channels, filter_len, float(sample_rate))
-    atoms.setflags(write=False)
+    _check_params(*params, sample_rate)
+    g, _, _, _ = gammachirp_parts(*params, filter_len, float(sample_rate))
+    norms = np.linalg.norm(g, axis=1)
+    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
+        bad = int(np.argmin(np.where(np.isfinite(norms), norms, -1.0)))
+        raise SynthesisError(f"degenerate atom in channel {bad} (norm={norms[bad]!r})")
+    atoms = g / norms[:, None]
+    for arr in (*params, atoms):
+        arr.setflags(write=False)
     return Dictionary(
-        channels=channels,
+        *params,
         filter_len=int(filter_len),
         stride=int(stride),
         sample_rate=int(sample_rate),
@@ -196,15 +199,16 @@ def init_gammatone_dictionary(
             f"need 0 < f_min < f_max < sample_rate/2, got f_min={f_min}, "
             f"f_max={f_max}, sample_rate={sample_rate}"
         )
-    freqs = np.geomspace(f_min, f_max, n_channels)
-    channels = [
-        GammachirpParams(f=float(f), b=GAMMATONE_BANDWIDTH, c=0.0, l=GAMMATONE_ORDER)
-        for f in freqs
-    ]
-    return make_dictionary(channels, filter_len, stride, sample_rate)
+    return make_dictionary(
+        np.geomspace(f_min, f_max, n_channels),
+        np.full(n_channels, GAMMATONE_BANDWIDTH),
+        np.zeros(n_channels),
+        np.full(n_channels, GAMMATONE_ORDER),
+        filter_len, stride, sample_rate,
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramKernel:
     """All inter-atom correlations at frame lags, with self-inhibition removed.
 
@@ -361,7 +365,8 @@ def save_dictionary(d: Dictionary, path) -> None:
         "filter_len": int(d.filter_len),
         "stride": int(d.stride),
         "channels": [
-            {"f": p.f, "b": p.b, "c": p.c, "l": p.l} for p in d.channels
+            {"f": f, "b": b, "c": c, "l": l}
+            for f, b, c, l in zip(d.f.tolist(), d.b.tolist(), d.c.tolist(), d.l.tolist())
         ],
     }
     with open(path, "w") as fh:
@@ -377,17 +382,12 @@ def load_dictionary(path) -> Dictionary:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read dictionary file {path}: {exc}") from exc
     try:
-        channels = [
-            GammachirpParams(
-                f=float(ch["f"]), b=float(ch["b"]), c=float(ch["c"]), l=float(ch["l"])
-            )
-            for ch in payload["channels"]
-        ]
+        params = {name: [float(ch[name]) for ch in payload["channels"]] for name in "fbcl"}
         return make_dictionary(
-            channels,
-            int(payload["filter_len"]),
-            int(payload["stride"]),
-            int(payload["sample_rate"]),
+            **params,
+            filter_len=int(payload["filter_len"]),
+            stride=int(payload["stride"]),
+            sample_rate=int(payload["sample_rate"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed dictionary file {path}: {exc}") from exc

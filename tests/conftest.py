@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
-from chirpcode import GammachirpParams, init_gammatone_dictionary, make_dictionary
+from chirpcode import init_gammatone_dictionary, make_dictionary
 
 
 def random_toy_dictionary(rng, n_channels=3, filter_len=16, stride=8, sample_rate=8000):
     """Small random dictionary with well-separated frequencies."""
     freqs = np.sort(rng.uniform(200.0, 0.4 * sample_rate, size=n_channels))
-    channels = [
-        GammachirpParams(
-            f=float(f),
-            b=float(rng.uniform(0.5, 2.0)),
-            c=float(rng.uniform(-1.5, 1.5)),
-            l=float(rng.uniform(2.0, 5.0)),
-        )
-        for f in freqs
-    ]
-    return make_dictionary(channels, filter_len, stride, sample_rate)
+    # One (b, c, l) draw per channel, in channel order.
+    b, c, l = np.array(
+        [[rng.uniform(0.5, 2.0), rng.uniform(-1.5, 1.5), rng.uniform(2.0, 5.0)] for _ in freqs]
+    ).T
+    return make_dictionary(freqs, b, c, l, filter_len, stride, sample_rate)
 
 
 def sparse_recovery_instance():

@@ -13,14 +13,13 @@ import pytest
 
 from chirpcode import (
     AdaptConfig,
-    GammachirpParams,
     LcaConfig,
     SparseCode,
     Utterance,
     adapt_corpus,
-    atom_jacobian,
     benchmark,
     default_bounds,
+    dictionary_jacobians,
     encode,
     energy_gradient,
     gram_kernel,
@@ -137,9 +136,10 @@ def _fd_atom_jacobian(f, b, c, l, name, flen, sr):
 
 
 def test_criterion_3_gradient_suite():
-    """atom_jacobian vs central finite differences (rel err <= 1e-5, >= 100
-    random draws, all four partials) and frozen-active-set energy gradient vs
-    finite differences (rel err <= 1e-3) on 2-channel toys, in under 60 s."""
+    """dictionary_jacobians of one-channel dictionaries vs central finite
+    differences (rel err <= 1e-5, >= 100 random draws, all four partials) and
+    frozen-active-set energy gradient vs finite differences (rel err <= 1e-3)
+    on 2-channel toys, in under 60 s."""
     rng = np.random.default_rng(303)
     t0 = time.time()
 
@@ -150,21 +150,22 @@ def test_criterion_3_gradient_suite():
         c = float(rng.uniform(0.05, 3.0)) * float(rng.choice([-1.0, 1.0]))
         l = float(rng.uniform(1.6, 6.0))
         flen = int(rng.choice([64, 128]))
-        jacs = atom_jacobian(GammachirpParams(f, b, c, l), flen, 16000)
-        for name, analytic in zip(("c", "b", "l", "f"), jacs):
+        jacs = dictionary_jacobians(make_dictionary([f], [b], [c], [l], flen, flen, 16000))
+        for name in ("c", "b", "l", "f"):
+            analytic = jacs[name][0]
             fd = _fd_atom_jacobian(f, b, c, l, name, flen, 16000)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             worst_jac = max(worst_jac, rel)
 
     worst_energy = 0.0
     for trial in range(3):
-        channels = [
-            GammachirpParams(f=float(rng.uniform(300, 900)), b=float(rng.uniform(0.7, 1.5)),
-                             c=float(rng.uniform(-1.0, 1.0)), l=float(rng.uniform(2.5, 4.5))),
-            GammachirpParams(f=float(rng.uniform(1200, 3000)), b=float(rng.uniform(0.7, 1.5)),
-                             c=float(rng.uniform(-1.0, 1.0)), l=float(rng.uniform(2.5, 4.5))),
-        ]
-        d = make_dictionary(channels, 16, 8, 8000)
+        # One (f, b, c, l) draw per channel, in channel order.
+        f, b, c, l = np.array([
+            [rng.uniform(f_lo, f_hi), rng.uniform(0.7, 1.5), rng.uniform(-1.0, 1.0),
+             rng.uniform(2.5, 4.5)]
+            for f_lo, f_hi in ((300, 900), (1200, 3000))
+        ]).T
+        d = make_dictionary(f, b, c, l, 16, 8, 8000)
         s = rng.standard_normal(40) * 0.6
         lam, eta, alpha, iters = 0.05, 0.2, 0.7, 300
         code, state = encode(
@@ -178,7 +179,7 @@ def test_criterion_3_gradient_suite():
                             AdaptConfig(mode="alca-cf", alpha=alpha, tbptt_window=iters))
         analytic = np.concatenate([g.d_c, g.d_b, g.d_l, g.d_f])
 
-        base = [[p.c, p.b, p.l, p.f] for p in d.channels]
+        base = np.column_stack([d.c, d.b, d.l, d.f]).tolist()
         steps = {"c": 1e-5, "b": 1e-5, "l": 1e-5, "f": 1e-2}
         fd = []
         for lane_idx, name in enumerate(("c", "b", "l", "f")):
@@ -291,8 +292,8 @@ def test_criterion_6_mode_contract():
     d_alca, _ = adapt_corpus(corpus, d0, lca_cfg, AdaptConfig(mode="alca", **shared))
     d_cf, _ = adapt_corpus(corpus, d0, lca_cfg, AdaptConfig(mode="alca-cf", **shared))
 
-    frozen = all(a.f == b.f for a, b in zip(d0.channels, d_alca.channels))
-    max_shift = max(abs(a.f - b.f) for a, b in zip(d0.channels, d_cf.channels))
+    frozen = bool(np.array_equal(d0.f, d_alca.f))
+    max_shift = float(np.max(np.abs(d0.f - d_cf.f)))
     _report(6, "mode contract", frozen and max_shift > 1.0,
             f"alca frozen {frozen}, alca-cf max |df| {max_shift:.2f} Hz")
 

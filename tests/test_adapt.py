@@ -8,9 +8,7 @@ import pytest
 from chirpcode import (
     AdaptConfig,
     AdamaxState,
-    ChannelParams,
     ConfigError,
-    GammachirpParams,
     GradientError,
     LcaConfig,
     ParamBounds,
@@ -18,14 +16,15 @@ from chirpcode import (
     SignalError,
     adamax_step,
     adapt_corpus,
-    atom_jacobian,
     default_bounds,
+    dictionary_jacobians,
     encode,
     energy_gradient,
     erb,
     init_gammatone_dictionary,
     make_dictionary,
 )
+from chirpcode import adapt as adapt_module
 from chirpcode.dictionary import gammachirp_parts
 
 from conftest import random_toy_dictionary
@@ -33,21 +32,26 @@ from oracles import dense_frozen_energy, formant_corpus, independent_atom, indep
 
 
 def _random_params(rng):
-    return GammachirpParams(
-        f=float(rng.uniform(100, 6000)),
-        b=float(rng.uniform(0.4, 3.0)),
-        c=float(rng.uniform(0.05, 3.0)) * float(rng.choice([-1.0, 1.0])),
-        l=float(rng.uniform(1.6, 6.0)),
+    return {
+        "f": float(rng.uniform(100, 6000)),
+        "b": float(rng.uniform(0.4, 3.0)),
+        "c": float(rng.uniform(0.05, 3.0)) * float(rng.choice([-1.0, 1.0])),
+        "l": float(rng.uniform(1.6, 6.0)),
+    }
+
+
+def _one_channel(p, filter_len, sample_rate):
+    return make_dictionary(
+        [p["f"]], [p["b"]], [p["c"]], [p["l"]], filter_len, filter_len, sample_rate
     )
 
 
 def _fd_jacobian(p, name, filter_len, sample_rate):
     """Central difference of the unit-norm atom, step 1e-6 relative."""
-    theta = getattr(p, name)
+    theta = p[name]
     h = 1e-6 * max(abs(theta), 1.0)
-    kw = {"f": p.f, "b": p.b, "c": p.c, "l": p.l}
-    hi = dict(kw, **{name: theta + h})
-    lo = dict(kw, **{name: theta - h})
+    hi = dict(p, **{name: theta + h})
+    lo = dict(p, **{name: theta - h})
     up = independent_atom(hi["f"], hi["b"], hi["c"], hi["l"], filter_len, sample_rate)
     dn = independent_atom(lo["f"], lo["b"], lo["c"], lo["l"], filter_len, sample_rate)
     return (up - dn) / (2 * h)
@@ -57,15 +61,16 @@ class TestAtomJacobian:
     def test_orthogonal_to_atom(self, rng):
         for _ in range(20):
             p = _random_params(rng)
-            atom = independent_atom(p.f, p.b, p.c, p.l, 128, 16000)
-            for jac in atom_jacobian(p, 128, 16000):
-                assert abs(float(atom @ jac)) <= 1e-10
+            atom = independent_atom(p["f"], p["b"], p["c"], p["l"], 128, 16000)
+            for jac in dictionary_jacobians(_one_channel(p, 128, 16000)).values():
+                assert abs(float(atom @ jac[0])) <= 1e-10
 
     def test_matches_finite_differences(self, rng):
         for _ in range(25):
             p = _random_params(rng)
-            jc, jb, jl, jf = atom_jacobian(p, 128, 16000)
-            for name, analytic in zip(("c", "b", "l", "f"), (jc, jb, jl, jf)):
+            jacs = dictionary_jacobians(_one_channel(p, 128, 16000))
+            for name in ("c", "b", "l", "f"):
+                analytic = jacs[name][0]
                 fd = _fd_jacobian(p, name, 128, 16000)
                 rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
                 assert rel <= 1e-5, f"{name}: rel err {rel}"
@@ -74,12 +79,12 @@ class TestAtomJacobian:
         """At c = 0 the raw chirp partial is the quadrature carrier
         -ln(t) * env(t) * sin(2 pi f t); the returned jacobian is that vector
         pushed through the normalization."""
-        p = GammachirpParams(f=800.0, b=1.019, c=0.0, l=4.0)
         flen, sr = 256, 16000
-        jc = atom_jacobian(p, flen, sr)[0]
-        g, env, _, t = gammachirp_parts(p.f, p.b, p.c, p.l, flen, float(sr))
+        d = make_dictionary([800.0], [1.019], [0.0], [4.0], flen, flen, sr)
+        jc = dictionary_jacobians(d)["c"][0]
+        g, env, _, t = gammachirp_parts(800.0, 1.019, 0.0, 4.0, flen, float(sr))
         g, env, t = g[0], env[0], t
-        raw = -np.log(t) * env * np.sin(2 * np.pi * p.f * t)
+        raw = -np.log(t) * env * np.sin(2 * np.pi * 800.0 * t)
         norm = np.linalg.norm(g)
         ghat = g / norm
         expected = (raw - ghat * float(ghat @ raw)) / norm
@@ -87,12 +92,10 @@ class TestAtomJacobian:
 
 
 class TestEnergyGradient:
-    def _toy(self, rng):
-        channels = [
-            GammachirpParams(f=500.0, b=1.0, c=0.4, l=3.0),
-            GammachirpParams(f=1800.0, b=1.2, c=-0.6, l=4.0),
-        ]
-        return make_dictionary(channels, 16, 8, 8000)
+    def _toy(self, rng, filter_len=16, stride=8):
+        return make_dictionary(
+            [500.0, 1800.0], [1.0, 1.2], [0.4, -0.6], [3.0, 4.0], filter_len, stride, 8000
+        )
 
     def test_zero_signal_zero_gradient(self, rng):
         d = self._toy(rng)
@@ -127,7 +130,7 @@ class TestEnergyGradient:
         of the dense solver run with the recorded per-iteration active masks
         pinned. At a converged fixed point the two agree because the residual
         term's dependence on the code vanishes on the active set."""
-        d = make_dictionary(self._toy(rng).channels, filter_len, stride, 8000)
+        d = self._toy(rng, filter_len, stride)
         s = rng.standard_normal(n_samples) * 0.6
         lam, eta, alpha = 0.05, 0.2, 0.7
         iters = 300
@@ -141,7 +144,7 @@ class TestEnergyGradient:
         g = energy_gradient(s, d, state, adapt_cfg)
         analytic = np.concatenate([g.d_c, g.d_b, g.d_l, g.d_f])
 
-        base = [[p.c, p.b, p.l, p.f] for p in d.channels]
+        base = np.column_stack([d.c, d.b, d.l, d.f]).tolist()
         steps = {"c": 1e-5, "b": 1e-5, "l": 1e-5, "f": 1e-2}
         fd = []
         for lane_idx, name in enumerate(("c", "b", "l", "f")):
@@ -199,55 +202,56 @@ class TestEnergyGradient:
 
 class TestAdamax:
     def _setup(self, n=3, lr_mod=0.01, lr_cf=1.0):
-        params = ChannelParams(
-            c=np.zeros(n), b=np.ones(n), l=np.full(n, 4.0),
-            f=np.array([200.0, 800.0, 3200.0])[:n],
+        d = make_dictionary(
+            np.array([200.0, 800.0, 3200.0])[:n], np.ones(n), np.zeros(n), np.full(n, 4.0),
+            64, 32, 16000,
         )
         config = AdaptConfig(mode="alca-cf", lr_mod=lr_mod, lr_cf=lr_cf,
                              bounds=default_bounds(16000))
-        return params, AdamaxState.zeros(n), config
+        return d, AdamaxState.zeros(n), config
 
     def test_zero_gradient_is_identity(self):
-        params, moments, config = self._setup()
+        d, moments, config = self._setup()
         zero = ParamGradients(d_c=np.zeros(3), d_b=np.zeros(3), d_l=np.zeros(3),
                               d_f=np.zeros(3))
-        out, _ = adamax_step(params, zero, moments, config, 1)
+        out = adamax_step(d, zero, moments, config, 1)
+        assert sorted(out) == sorted(adapt_module.PARAM_NAMES)
         for name in ("c", "b", "l", "f"):
-            np.testing.assert_array_equal(getattr(out, name), getattr(params, name))
+            np.testing.assert_array_equal(out[name], getattr(d, name))
 
     def test_constant_gradient_closed_form(self):
         """With a constant gradient g the infinity moment pins to |g| after the
         first step, so every update is exactly -lr * g / (|g| + eps)."""
         lr = 1e-3
-        params, moments, config = self._setup(lr_mod=lr)
+        d, moments, config = self._setup(lr_mod=lr)
         g = np.array([0.3, -0.2, 0.5])
         grads = ParamGradients(d_c=g, d_b=np.zeros(3), d_l=np.zeros(3), d_f=np.zeros(3))
-        prev = params.c.copy()
         for step in range(1, 30):
-            params, moments = adamax_step(params, grads, moments, config, step)
-            delta = params.c - prev
+            stepped = adamax_step(d, grads, moments, config, step)
+            delta = stepped["c"] - d.c
             expected = -lr * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(delta, expected, rtol=1e-12)
             assert np.all(np.abs(delta) <= lr * (1 + 1e-8))
-            prev = params.c.copy()
+            d = make_dictionary(**stepped, filter_len=d.filter_len, stride=d.stride,
+                                sample_rate=d.sample_rate)
 
     def test_clamping(self):
-        params, moments, config = self._setup(lr_cf=1e9)
+        d, moments, config = self._setup(lr_cf=1e9)
         big = ParamGradients(
             d_c=np.zeros(3), d_b=np.zeros(3), d_l=np.zeros(3),
             d_f=np.array([-1.0, 0.0, 0.0]),
         )
-        out, _ = adamax_step(params, big, moments, config, 1)
-        assert out.f[0] == config.bounds.f[1]
+        out = adamax_step(d, big, moments, config, 1)
+        assert out["f"][0] == config.bounds.f[1]
 
     def test_bad_step_index_rejected(self):
         from chirpcode import OptimizerError
 
-        params, moments, config = self._setup()
+        d, moments, config = self._setup()
         zero = ParamGradients(d_c=np.zeros(3), d_b=np.zeros(3), d_l=np.zeros(3),
                               d_f=np.zeros(3))
         with pytest.raises(OptimizerError):
-            adamax_step(params, zero, moments, config, 0)
+            adamax_step(d, zero, moments, config, 0)
 
 
 def _tiny_corpus(rng, d, n=3, length=72):
@@ -266,12 +270,8 @@ def _tiny_corpus(rng, d, n=3, length=72):
 
 class TestAdaptCorpus:
     def _dict(self):
-        channels = [
-            GammachirpParams(f=400.0, b=1.019, c=0.0, l=4.0),
-            GammachirpParams(f=900.0, b=1.019, c=0.0, l=4.0),
-            GammachirpParams(f=2000.0, b=1.019, c=0.0, l=4.0),
-        ]
-        return make_dictionary(channels, 16, 8, 8000)
+        return make_dictionary([400.0, 900.0, 2000.0], [1.019] * 3, [0.0] * 3, [4.0] * 3,
+                               16, 8, 8000)
 
     def _lca(self):
         return LcaConfig(lam=0.04, eta=0.2, max_iters=120, rel_tol=1e-8)
@@ -302,9 +302,8 @@ class TestAdaptCorpus:
             bounds=default_bounds(8000), seed=0,
         )
         d, _ = adapt_corpus(_tiny_corpus(rng, d0), d0, self._lca(), cfg)
-        for before, after in zip(d0.channels, d.channels):
-            assert before.f == after.f
-        assert any(b.c != a.c for b, a in zip(d0.channels, d.channels))
+        np.testing.assert_array_equal(d.f, d0.f)
+        assert np.any(d.c != d0.c)
 
     def test_alca_leaves_out_of_bounds_frequencies_alone(self):
         """The desk bank's 7600 Hz top channel lies above the 7200 Hz cap of
@@ -317,8 +316,8 @@ class TestAdaptCorpus:
             bounds=default_bounds(16000), seed=7,
         )
         d, _ = adapt_corpus(corpus, d0, LcaConfig(lam=0.03, max_iters=50), cfg)
-        assert [p.f for p in d.channels] == [p.f for p in d0.channels]
-        assert any(b.c != a.c for b, a in zip(d0.channels, d.channels))
+        np.testing.assert_array_equal(d.f, d0.f)
+        assert np.any(d.c != d0.c)
 
     def test_alca_cf_moves_frequencies(self, rng):
         d0 = self._dict()
@@ -327,8 +326,7 @@ class TestAdaptCorpus:
             tbptt_window=40, bounds=default_bounds(8000), seed=0,
         )
         d, _ = adapt_corpus(_tiny_corpus(rng, d0), d0, self._lca(), cfg)
-        moved = [abs(b.f - a.f) for b, a in zip(d0.channels, d.channels)]
-        assert max(moved) > 1.0
+        assert np.max(np.abs(d.f - d0.f)) > 1.0
 
     def test_bounds_hold_after_every_step(self, rng):
         d0 = self._dict()
@@ -338,11 +336,9 @@ class TestAdaptCorpus:
             tbptt_window=40, bounds=bounds, seed=0,
         )
         d, _ = adapt_corpus(_tiny_corpus(rng, d0), d0, self._lca(), cfg)
-        for p in d.channels:
-            assert bounds.f[0] <= p.f <= bounds.f[1]
-            assert bounds.b[0] <= p.b <= bounds.b[1]
-            assert bounds.l[0] <= p.l <= bounds.l[1]
-            assert bounds.c[0] <= p.c <= bounds.c[1]
+        for name in ("f", "b", "l", "c"):
+            lo, hi = getattr(bounds, name)
+            assert np.all((lo <= getattr(d, name)) & (getattr(d, name) <= hi))
 
     def test_deterministic_given_seed(self, rng):
         d0 = self._dict()
@@ -354,8 +350,8 @@ class TestAdaptCorpus:
         d1, h1 = adapt_corpus(corpus, d0, self._lca(), cfg)
         d2, h2 = adapt_corpus(corpus, d0, self._lca(), cfg)
         assert h1 == h2
-        for p1, p2 in zip(d1.channels, d2.channels):
-            assert (p1.f, p1.b, p1.c, p1.l) == (p2.f, p2.b, p2.c, p2.l)
+        for name in ("f", "b", "c", "l"):
+            np.testing.assert_array_equal(getattr(d1, name), getattr(d2, name))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_member_error_names_utterance(self, rng, jobs):
@@ -381,9 +377,27 @@ class TestAdaptCorpus:
         )
         assert multiprocessing.active_children() == []
         assert h1 == h2
-        assert d1.channels == d2.channels
-        assert np.array_equal(d1.atoms, d2.atoms)
-        assert d1.channels != d0.channels
+        for name in ("f", "b", "c", "l", "atoms"):
+            np.testing.assert_array_equal(getattr(d1, name), getattr(d2, name))
+        assert any(
+            not np.array_equal(getattr(d1, n), getattr(d0, n)) for n in adapt_module.PARAM_NAMES
+        )
+
+    def test_cf_bound_at_nyquist_rejected_before_any_encode(self, rng, monkeypatch):
+        d0 = self._dict()
+        corpus = _tiny_corpus(rng, d0)
+        bounds = ParamBounds(f=(20.0, 4000.0))
+        d, _ = adapt_corpus(corpus, d0, self._lca(),
+                            AdaptConfig(mode="alca", epochs=1, bounds=bounds))
+        np.testing.assert_array_equal(d.f, d0.f)
+
+        def no_encode(*args, **kwargs):
+            raise AssertionError("encoded before checking the bounds")
+
+        monkeypatch.setattr(adapt_module, "encode_and_grade", no_encode)
+        with pytest.raises(ConfigError, match=r"upper bound 4000\.0 Hz .*Nyquist \(4000\.0 Hz\)"):
+            adapt_corpus(corpus, d0, self._lca(),
+                         AdaptConfig(mode="alca-cf", epochs=1, bounds=bounds))
 
     def test_empty_corpus_rejected(self):
         d0 = self._dict()

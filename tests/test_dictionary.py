@@ -1,5 +1,6 @@
 """Dictionary module: ERB map, atom synthesis, strided operators, Gram kernel."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from chirpcode import (
     CodeError,
     ConfigError,
-    GammachirpParams,
     ParameterError,
     SignalError,
     SparseCode,
@@ -19,10 +19,11 @@ from chirpcode import (
     erb,
     gram_kernel,
     init_gammatone_dictionary,
+    load_dictionary,
     make_dictionary,
     project,
     reconstruct,
-    synthesize_atom,
+    save_dictionary,
 )
 from chirpcode.dictionary import gammachirp_parts, n_frames, overlap_add, signal_windows
 
@@ -62,28 +63,27 @@ class TestErb:
         np.testing.assert_allclose(out, [24.7, 132.639], atol=1e-9)
 
 
+def one_atom(f, b, c, l, filter_len, sample_rate):
+    """The unit-norm atom of a one-channel dictionary."""
+    return make_dictionary([f], [b], [c], [l], filter_len, filter_len, sample_rate).atoms[0]
+
+
 class TestSynthesizeAtom:
     def test_unit_norm(self, rng):
         for _ in range(20):
-            p = GammachirpParams(
-                f=rng.uniform(100, 6000), b=rng.uniform(0.5, 3), c=rng.uniform(-3, 3),
-                l=rng.uniform(1.5, 6),
-            )
-            atom, norm = synthesize_atom(p, 256, 16000)
-            assert norm > 0
+            atom = one_atom(rng.uniform(100, 6000), rng.uniform(0.5, 3), rng.uniform(-3, 3),
+                            rng.uniform(1.5, 6), 256, 16000)
             assert np.linalg.norm(atom) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_independent_formula(self, rng):
         for _ in range(5):
             f, b, c, l = rng.uniform(200, 5000), rng.uniform(0.5, 2), rng.uniform(-2, 2), 4.0
-            atom, _ = synthesize_atom(GammachirpParams(f, b, c, l), 128, 16000)
-            np.testing.assert_allclose(atom, independent_atom(f, b, c, l, 128, 16000),
-                                       atol=1e-12)
+            np.testing.assert_allclose(one_atom(f, b, c, l, 128, 16000),
+                                       independent_atom(f, b, c, l, 128, 16000), atol=1e-12)
 
     def test_zero_chirp_is_gammatone(self):
         """With c = 0 the log-time term vanishes, leaving a cosine carrier."""
-        p = GammachirpParams(f=1000.0, b=1.019, c=0.0, l=4.0)
-        atom, _ = synthesize_atom(p, 512, 48000)
+        atom = one_atom(1000.0, 1.019, 0.0, 4.0, 512, 48000)
         t = (np.arange(512) + 1.0) / 48000.0
         expected = t ** 3 * np.exp(-2 * np.pi * 1.019 * erb(1000.0) * t) * np.cos(
             2 * np.pi * 1000.0 * t
@@ -101,21 +101,60 @@ class TestSynthesizeAtom:
 
     def test_degenerate_atom_rejected(self):
         with pytest.raises(SynthesisError):
-            synthesize_atom(GammachirpParams(f=1000.0, b=1e6, c=0.0, l=4.0), 256, 16000)
+            one_atom(1000.0, 1e6, 0.0, 4.0, 256, 16000)
 
     def test_nyquist_rejected(self):
-        with pytest.raises(ParameterError):
-            synthesize_atom(GammachirpParams(f=9000.0, b=1.0, c=0.0, l=4.0), 256, 16000)
+        for f in (8000.0, 9000.0):
+            with pytest.raises(ParameterError, match="channel 0: .*Nyquist"):
+                one_atom(f, 1.0, 0.0, 4.0, 256, 16000)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ParameterError):
-            GammachirpParams(f=-10.0, b=1.0, c=0.0, l=4.0)
-        with pytest.raises(ParameterError):
-            GammachirpParams(f=100.0, b=0.0, c=0.0, l=4.0)
-        with pytest.raises(ParameterError):
-            GammachirpParams(f=100.0, b=1.0, c=0.0, l=0.5)
-        with pytest.raises(ParameterError):
-            GammachirpParams(f=float("nan"), b=1.0, c=0.0, l=4.0)
+        for (f, b, c, l), reason in (
+            ((-10.0, 1.0, 0.0, 4.0), "centre frequency must be positive"),
+            ((100.0, 0.0, 0.0, 4.0), "bandwidth scale must be positive"),
+            ((100.0, 1.0, 0.0, 0.5), "envelope order must be >= 1"),
+            ((float("nan"), 1.0, 0.0, 4.0), "parameters must be finite"),
+            ((100.0, 1.0, float("inf"), 4.0), "parameters must be finite"),
+        ):
+            with pytest.raises(ParameterError, match=f"channel 0: {reason}"):
+                one_atom(f, b, c, l, 64, 16000)
+
+
+class TestMakeDictionary:
+    def test_first_bad_channel_is_named(self):
+        f, b, c, l = [500.0] * 4, [1.0] * 4, [0.0] * 4, [4.0] * 4
+        l[3] = 0.5
+        f[1] = -10.0
+        with pytest.raises(ParameterError, match="channel 1: centre frequency"):
+            make_dictionary(f, b, c, l, 64, 32, 16000)
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ConfigError):
+            make_dictionary([500.0, 900.0], [1.0], [0.0, 0.0], [4.0, 4.0], 64, 32, 16000)
+        with pytest.raises(ConfigError):
+            make_dictionary([], [], [], [], 64, 32, 16000)
+
+    def test_copies_its_inputs_read_only(self):
+        f = np.array([500.0, 900.0])
+        b, c, l = np.ones(2), np.zeros(2), np.full(2, 4.0)
+        d = make_dictionary(f, b, c, l, 64, 32, 16000)
+        atoms = d.atoms.copy()
+        f[0], b[0], c[0], l[0] = 700.0, 2.0, 1.0, 3.0
+        np.testing.assert_array_equal(d.f, [500.0, 900.0])
+        np.testing.assert_array_equal(d.b, [1.0, 1.0])
+        np.testing.assert_array_equal(d.c, [0.0, 0.0])
+        np.testing.assert_array_equal(d.l, [4.0, 4.0])
+        np.testing.assert_array_equal(d.atoms, atoms)
+        for arr in (d.f, d.b, d.c, d.l, d.atoms):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_dictionaries_and_kernels_compare_by_identity(self):
+        d1, d2 = (init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000) for _ in range(2))
+        k1, k2 = gram_kernel(d1), gram_kernel(d1)
+        assert d1 == d1 and d1 != d2
+        assert k1 == k1 and k1 != k2
+        assert len({d1, d2, k1, k2}) == 4
 
 
 class TestInitGammatone:
@@ -149,9 +188,7 @@ class TestInitGammatone:
         with pytest.raises(ConfigError):
             init_gammatone_dictionary(4, 100.0, 9000.0, 64, 32, 16000)
         with pytest.raises(ConfigError):
-            make_dictionary(
-                [GammachirpParams(500.0, 1.0, 0.0, 4.0)], 64, 65, 16000
-            )
+            make_dictionary([500.0], [1.0], [0.0], [4.0], 64, 65, 16000)
 
 
 class TestGramKernel:
@@ -342,12 +379,39 @@ class TestProjectReconstruct:
         np.testing.assert_array_equal(w[2], s[16:32])
 
 
+GOLDEN_DICTIONARY_JSON = """\
+{
+ "sample_rate": 16000,
+ "filter_len": 64,
+ "stride": 32,
+ "channels": [
+  {
+   "f": 100.0,
+   "b": 1.019,
+   "c": 0.0,
+   "l": 4.0
+  },
+  {
+   "f": 200.00000000000003,
+   "b": 1.019,
+   "c": 0.0,
+   "l": 4.0
+  },
+  {
+   "f": 400.0,
+   "b": 1.019,
+   "c": 0.0,
+   "l": 4.0
+  }
+ ]
+}
+"""
+
+
 class TestDictionaryFile:
     def test_round_trip_preserves_parameters_and_atoms(self, rng, tmp_path):
         """The JSON file stores parameters only; reloading re-synthesizes the
         exact same atoms because float parameters survive the round trip."""
-        from chirpcode import load_dictionary, save_dictionary
-
         d = random_toy_dictionary(rng, n_channels=5, filter_len=32, stride=8)
         path = tmp_path / "dict.json"
         save_dictionary(d, path)
@@ -355,13 +419,11 @@ class TestDictionaryFile:
         assert loaded.filter_len == d.filter_len
         assert loaded.stride == d.stride
         assert loaded.sample_rate == d.sample_rate
-        for a, b in zip(d.channels, loaded.channels):
-            assert (a.f, a.b, a.c, a.l) == (b.f, b.b, b.c, b.l)
+        for name in ("f", "b", "c", "l"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(d, name))
         np.testing.assert_array_equal(loaded.atoms, d.atoms)
 
     def test_malformed_file_rejected(self, tmp_path):
-        from chirpcode import load_dictionary
-
         bad = tmp_path / "bad.json"
         bad.write_text('{"sample_rate": 8000}')
         with pytest.raises(ConfigError):
@@ -370,6 +432,20 @@ class TestDictionaryFile:
         notjson.write_text("not json at all")
         with pytest.raises(ConfigError):
             load_dictionary(notjson)
+
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "dict.json"
+        save_dictionary(init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000), path)
+        assert path.read_text() == GOLDEN_DICTIONARY_JSON
+
+    def test_bad_channel_rejected_and_named(self, tmp_path):
+        payload = json.loads(GOLDEN_DICTIONARY_JSON)
+        payload["channels"][1]["b"] = -1.0
+        path = tmp_path / "dict.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match="channel 1: bandwidth"):
+            load_dictionary(path)
 
 
 class TestAtomNormInvariant:
@@ -381,5 +457,5 @@ class TestAtomNormInvariant:
         l=st.floats(min_value=1.5, max_value=6.0),
     )
     def test_norm_after_any_parameters(self, f, b, c, l):
-        atom, _ = synthesize_atom(GammachirpParams(f, b, c, l), 128, 16000)
+        atom = one_atom(f, b, c, l, 128, 16000)
         assert np.linalg.norm(atom) == pytest.approx(1.0, abs=1e-12)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chirpcode import (
     CodeError,
     SignalError,
-    GammachirpParams,
     LcaConfig,
     SolverError,
     SparseCode,
@@ -138,8 +137,7 @@ class TestEncode:
     def test_divergence_is_an_error(self, rng):
         # Nine identical channels make the inhibition operator strongly
         # expansive; a full-size Euler step must blow up, not silently clamp.
-        p = GammachirpParams(f=1000.0, b=1.0, c=0.0, l=4.0)
-        d = make_dictionary([p] * 9, 32, 16, 8000)
+        d = make_dictionary([1000.0] * 9, [1.0] * 9, [0.0] * 9, [4.0] * 9, 32, 16, 8000)
         s = rng.standard_normal(96)
         with pytest.raises(SolverError, match="iteration"):
             encode(s, d, LcaConfig(lam=0.0, eta=1.0, max_iters=500, rel_tol=0.0))
@@ -322,8 +320,7 @@ class TestEncodeMany:
         """With a step far too large, each diverging item fails with its own
         SolverError, naming the iteration a lone solve fails at, and a silent
         item of the same stack still succeeds."""
-        p = GammachirpParams(f=1000.0, b=1.0, c=0.0, l=4.0)
-        d = make_dictionary([p] * 9, 32, 16, 8000)
+        d = make_dictionary([1000.0] * 9, [1.0] * 9, [0.0] * 9, [4.0] * 9, 32, 16, 8000)
         signals = [rng.standard_normal(96) * scale for scale in (1.0, 1e-3, 1e3)]
         signals.insert(1, np.zeros(96))
         cfg = LcaConfig(lam=0.0, eta=1.0, max_iters=500, rel_tol=0.0)
