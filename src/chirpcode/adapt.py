@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap, workers
+from ._parallel import workers
 from .dictionary import (
     Dictionary,
     GramKernel,
@@ -44,7 +44,7 @@ from .dictionary import (
 )
 from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError
 from .lca import LcaConfig, LcaState
-from .metrics import corpus_signals, encode_and_grade
+from .metrics import corpus_signals, encode_and_grade, map_stacks
 
 MODE_ALCA = "alca"
 MODE_ALCA_CF = "alca-cf"
@@ -232,7 +232,6 @@ def energy_gradient(
             f"trace shape {a_final.shape} does not match dictionary/signal "
             f"geometry ({n}, {t_frames})"
         )
-    lam = lca_trace.lam
     eta = lca_trace.eta
 
     # Reconstruction term: residual windows weighted by the final code.
@@ -241,7 +240,7 @@ def energy_gradient(
     g_atoms = a_final @ res_windows
 
     # Sparsity term: reverse pass through the recorded iterations.
-    weight = config.alpha * lam
+    weight = config.alpha * lca_trace.lam
     if weight > 0.0 and np.any(a_final):
         if lca_trace.a_history is None or len(lca_trace.a_history) < 2:
             raise GradientError(
@@ -260,11 +259,8 @@ def energy_gradient(
             gbar_rows += gbar
             _accumulate_lag_correlations(q, gbar, a_prev)
             if step < steps - 1:
-                if lam > 0:
-                    mask = (a_prev != 0.0).astype(float)
-                    gbar = (1.0 - eta) * gbar - eta * mask * apply_kernel(kernel, gbar)
-                else:
-                    gbar = (1.0 - eta) * gbar - eta * apply_kernel(kernel, gbar)
+                mask = (a_prev != 0.0).astype(float)
+                gbar = (1.0 - eta) * gbar - eta * mask * apply_kernel(kernel, gbar)
         windows = signal_windows(s, d.filter_len, d.stride)
         g_atoms = g_atoms + eta * (gbar_rows @ windows)
         g_atoms = g_atoms - eta * _contract_lags(q, atoms, d.stride)
@@ -329,17 +325,21 @@ class EpochStats:
     mean_active_count: float
 
 
-def _adapt_task(uid, signal, d, kernel, lca_cfg, adapt_cfg):
-    try:
-        (result,) = encode_and_grade(
-            [uid], [signal], d, lca_cfg, kernel, adapt_cfg.alpha, adapt_cfg.tbptt_window
-        )
-        if isinstance(result, ChirpcodeError):
-            raise result
-        report, _, state = result
-        return report, energy_gradient(signal, d, state, adapt_cfg, kernel=kernel)
-    except ChirpcodeError as exc:
-        raise type(exc)(f"utterance {uid!r}: {exc}") from exc
+def _adapt_stack(ids, signals, d, kernel, lca_cfg, adapt_cfg):
+    # (report, gradients) or the ChirpcodeError of each utterance of a stack,
+    # returned, not raised, so the caller names the first failure in batch order.
+    graded = encode_and_grade(ids, signals, d, lca_cfg, kernel, adapt_cfg.alpha,
+                              adapt_cfg.tbptt_window)
+    out = []
+    for signal, result in zip(signals, graded):
+        if not isinstance(result, ChirpcodeError):
+            report, _, state = result
+            try:
+                result = report, energy_gradient(signal, d, state, adapt_cfg, kernel=kernel)
+            except ChirpcodeError as exc:
+                result = exc
+        out.append(result)
+    return out
 
 
 def adapt_corpus(
@@ -350,10 +350,11 @@ def adapt_corpus(
     Each epoch shuffles the corpus (seeded), walks it in mini-batches, averages
     the per-utterance gradients over each batch, applies one Adamax step, and
     re-synthesizes the atoms and inhibition kernel. Per-epoch statistics are
-    the means over the encodes performed during that epoch. ``jobs`` > 1
-    spreads the per-utterance work of a batch over one pool of worker
-    processes, open for the whole run; the optimizer step stays a serial
-    barrier and the gradient mean keeps batch order.
+    the means over the encodes performed during that epoch. A batch is solved
+    in stacks, as ``encode`` solves a corpus, and ``jobs`` > 1 spreads them
+    over one pool of workers open for the whole run. The optimizer step stays
+    a serial barrier, the gradient mean keeps batch order, and the first
+    failure in batch order is raised, named by its utterance.
     """
     nyquist = d0.sample_rate / 2
     if adapt_cfg.mode == MODE_ALCA_CF and adapt_cfg.bounds.f[1] >= nyquist:
@@ -380,21 +381,22 @@ def adapt_corpus(
             energies, snrs, actives = [], [], []
             for start in range(0, len(order), adapt_cfg.batch_size):
                 batch = order[start : start + adapt_cfg.batch_size]
-                tasks = [
-                    (ids[idx], signals[idx], d, kernel, lca_cfg, adapt_cfg) for idx in batch
-                ]
-                batch_grads = []
-                for report, grads in pmap(_adapt_task, tasks, jobs):
-                    batch_grads.append(grads)
-                    energies.append(report.energy)
-                    snrs.append(report.snr_db)
-                    actives.append(report.active_count)
-                mean_grads = ParamGradients(
-                    d_c=np.mean([g.d_c for g in batch_grads], axis=0),
-                    d_b=np.mean([g.d_b for g in batch_grads], axis=0),
-                    d_l=np.mean([g.d_l for g in batch_grads], axis=0),
-                    d_f=np.mean([g.d_f for g in batch_grads], axis=0),
+                batch_ids = [ids[idx] for idx in batch]
+                results = map_stacks(
+                    _adapt_stack, batch_ids, [signals[idx] for idx in batch], d, jobs,
+                    kernel, lca_cfg, adapt_cfg, trace_window=adapt_cfg.tbptt_window,
                 )
+                for uid, result in zip(batch_ids, results):
+                    if isinstance(result, ChirpcodeError):
+                        raise type(result)(f"utterance {uid!r}: {result}") from result
+                reports, batch_grads = zip(*results)
+                energies += [r.energy for r in reports]
+                snrs += [r.snr_db for r in reports]
+                actives += [r.active_count for r in reports]
+                mean_grads = ParamGradients(**{
+                    f"d_{name}": np.mean([g.get(name) for g in batch_grads], axis=0)
+                    for name in PARAM_NAMES
+                })
                 step_index += 1
                 stepped = adamax_step(d, mean_grads, moments, adapt_cfg, step_index)
                 d = make_dictionary(

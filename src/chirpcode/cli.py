@@ -40,7 +40,8 @@ from .errors import (
 from .lca import LcaConfig, export_events_csv, load_code, save_code
 from .metrics import (
     benchmark,
-    encode_corpus,
+    map_stacks,
+    reports_and_codes,
     write_report_csv,
     write_report_json,
     write_summary_csv,
@@ -186,8 +187,8 @@ def cmd_encode(args) -> int:
 
     ids = [u.id for u in utterances]
     # One pmap call inside, so its own pool is the command's one pool.
-    results = encode_corpus(ids, [u.samples for u in utterances], d, lca_cfg,
-                            gram_kernel(d), float(cfg["alpha"]), args.jobs)
+    results = map_stacks(reports_and_codes, ids, [u.samples for u in utterances], d,
+                         args.jobs, lca_cfg, gram_kernel(d), float(cfg["alpha"]))
     for uid, result in zip(ids, results):
         if isinstance(result, ChirpcodeError):
             raise type(result)(f"utterance {uid!r}: {result}") from result

@@ -153,8 +153,8 @@ def make_dictionary(f, b, c, l, filter_len: int, stride: int, sample_rate) -> Di
         raise ConfigError(f"filter_len must be >= 1, got {filter_len}")
     if not 1 <= stride <= filter_len:
         raise ConfigError(f"stride must be in [1, filter_len], got {stride}")
-    if sample_rate <= 0:
-        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
+    if not (sample_rate > 0 and float(sample_rate).is_integer()):
+        raise ConfigError(f"sample_rate must be a positive whole number of Hz, got {sample_rate}")
     params = [np.array(x, dtype=float) for x in (f, b, c, l)]
     if any(p.ndim != 1 or p.shape != params[0].shape for p in params):
         raise ConfigError(
@@ -231,10 +231,6 @@ class GramKernel:
     @property
     def entries(self) -> np.ndarray:
         return np.moveaxis(self.lags, 0, 2)
-
-    @property
-    def n_channels(self) -> int:
-        return self.lags.shape[1]
 
     def at_lag(self, d: int) -> np.ndarray:
         return self.lags[self.max_lag + d]

@@ -140,12 +140,11 @@ class SparseCode:
         return int(self.values.size)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, lam: float, *, n_channels=None, n_frames=None):
+    def from_dense(cls, a: np.ndarray, lam: float):
         a = np.asarray(a, dtype=float)
         ch, fr = np.nonzero(a)
         return cls(
-            n_channels=int(n_channels if n_channels is not None else a.shape[0]),
-            n_frames=int(n_frames if n_frames is not None else a.shape[1]),
+            n_channels=int(a.shape[0]), n_frames=int(a.shape[1]),
             lam=float(lam),
             channels=ch,
             frames=fr,

@@ -123,14 +123,15 @@ def encode_and_grade(ids, signals, d, lca_cfg, kernel=None, alpha=1.0, trace_win
     return graded
 
 
-def corpus_stacks(signals, d: Dictionary, jobs: int):
+def corpus_stacks(signals, d: Dictionary, jobs: int, trace_window: int = 0):
     """Split a corpus into stacks: lists of indices, in corpus order, of
     utterances that share a frame count under ``d``.
 
-    A stack's solver arrays hold at most STACK_ELEMENTS elements, and each
-    frame count is split into at least ``jobs`` near-equal stacks (one per
-    utterance if it has fewer), so a pool of ``jobs`` workers has work for
-    each. Signals too short for one frame share a group; each fails alone.
+    A stack's solver arrays, with the ``trace_window`` iterations each solve
+    records, hold at most STACK_ELEMENTS elements. Each frame count is split
+    into at least ``jobs`` near-equal stacks (one per utterance if it has
+    fewer), so ``jobs`` workers have work each. Signals too short for one
+    frame share a group; each fails alone.
     """
     groups = {}
     for index, s in enumerate(signals):
@@ -141,31 +142,30 @@ def corpus_stacks(signals, d: Dictionary, jobs: int):
         groups.setdefault(frames, []).append(index)
     stacks = []
     for frames, members in groups.items():
-        per_stack = max(1, STACK_ELEMENTS // (d.n_channels * max(frames, 1)))
+        cells = d.n_channels * max(frames, 1) * (trace_window + 1)
+        per_stack = max(1, STACK_ELEMENTS // cells)
         count = max(-(-len(members) // per_stack), min(jobs, len(members)))
         stacks += [chunk.tolist() for chunk in np.array_split(members, count)]
     return stacks
 
 
-def _reports_and_codes(*args):
-    # Drop the solver states in the worker: they hold dense arrays, so only
-    # the reports and the sparse codes are kept for the whole corpus.
+def reports_and_codes(*args):
+    """``encode_and_grade`` that drops each solver state, which holds dense
+    arrays, so a corpus keeps only its reports and sparse codes."""
     return [r if isinstance(r, ChirpcodeError) else r[:2] for r in encode_and_grade(*args)]
 
 
-def encode_corpus(ids, signals, d, lca_cfg, kernel, alpha=1.0, jobs=1):
-    """``encode_and_grade`` over a corpus, stacked by ``corpus_stacks`` and
-    spread over ``jobs`` workers. Returns, in corpus order, (report, code) for
-    each utterance or the ChirpcodeError it failed with.
+def map_stacks(fn, ids, signals, d, jobs, *args, trace_window=0):
+    """Run ``fn(stack_ids, stack_signals, d, *args)`` on each stack of
+    ``corpus_stacks(signals, d, jobs, trace_window)``, over ``jobs`` workers.
+    ``fn`` returns one result per utterance; they come back in corpus order.
     """
-    stacks = corpus_stacks(signals, d, jobs)
-    tasks = [
-        ([ids[i] for i in stack], [signals[i] for i in stack], d, lca_cfg, kernel, alpha)
-        for stack in stacks
-    ]
+    stacks = corpus_stacks(signals, d, jobs, trace_window)
+    tasks = [([ids[i] for i in stack], [signals[i] for i in stack], d, *args)
+             for stack in stacks]
     results = [None] * len(ids)
-    for stack, graded in zip(stacks, pmap(_reports_and_codes, tasks, jobs)):
-        for index, result in zip(stack, graded):
+    for stack, out in zip(stacks, pmap(fn, tasks, jobs)):
+        for index, result in zip(stack, out):
             results[index] = result
     return results
 
@@ -192,7 +192,8 @@ def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> Benchm
     summaries = []
     with workers(min(jobs, len(ids))):
         for name, d in dictionaries:
-            results = encode_corpus(ids, signals, d, lca_cfg, gram_kernel(d), jobs=jobs)
+            results = map_stacks(reports_and_codes, ids, signals, d, jobs,
+                                 lca_cfg, gram_kernel(d))
             finite_snrs, counts, per_frame = [], [], []
             excluded = 0
             for uid, result in zip(ids, results):

@@ -25,6 +25,7 @@ from chirpcode import (
     make_dictionary,
 )
 from chirpcode import adapt as adapt_module
+from chirpcode import metrics
 from chirpcode.dictionary import gammachirp_parts
 
 from conftest import random_toy_dictionary
@@ -362,6 +363,66 @@ class TestAdaptCorpus:
         with pytest.raises(SignalError, match=r"utterance\[2\]"):
             adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_batch_order_is_raised(self, rng, jobs):
+        """A batch is stacked by frame count, so stack order can differ from
+        batch order; the error names the first failure in batch order."""
+        d0 = self._dict()
+        ok8, ok4 = _tiny_corpus(rng, d0, n=1)[0], _tiny_corpus(rng, d0, n=1, length=40)[0]
+        bad8, bad4 = np.full(72, np.nan), np.full(40, np.nan)
+        cfg = AdaptConfig(mode="alca", epochs=1, batch_size=4,
+                          bounds=default_bounds(8000), seed=3)
+        # Lay the corpus out so that the shuffled batch is ok8, bad4, bad8,
+        # ok4. Its 8-frame stacks come first, so bad8 fails first in stack order.
+        order = np.random.default_rng(cfg.seed).permutation(4)
+        corpus = [None] * 4
+        for position, signal in zip(order, (ok8, bad4, bad8, ok4)):
+            corpus[position] = signal
+        with pytest.raises(SignalError, match=rf"^utterance 'utterance\[{order[1]}\]': signal"):
+            adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_results_do_not_depend_on_the_stacks(self, rng, monkeypatch):
+        """Two frame counts, and stacks from one per utterance to one per frame
+        count, at one and two jobs: the same parameters, atoms and history."""
+        d0 = self._dict()
+        corpus = _tiny_corpus(rng, d0, n=4) + _tiny_corpus(rng, d0, n=3, length=48)
+        cfg = AdaptConfig(
+            mode="alca-cf", lr_mod=3e-3, lr_cf=2.0, epochs=2, batch_size=4,
+            tbptt_window=10, bounds=default_bounds(8000), seed=5,
+        )
+        runs = []
+        # 3 * 8 * 11 * 2 holds two 8-frame or three 5-frame solves with their history.
+        for elements in (metrics.STACK_ELEMENTS, 1, 3 * 8 * 11 * 2):
+            monkeypatch.setattr(metrics, "STACK_ELEMENTS", elements)
+            runs += [adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs) for jobs in (1, 2)]
+        d1, h1 = runs[0]
+        assert len(h1) == 2 and not np.array_equal(d1.f, d0.f)
+        for d, h in runs[1:]:
+            assert h == h1
+            for name in ("f", "b", "c", "l", "atoms"):
+                assert np.array_equal(getattr(d, name), getattr(d1, name))
+
+    @pytest.mark.parametrize("window, sizes", [(11, [1] * 5), (5, [2, 2, 1]), (2, [3, 2])])
+    def test_stacks_are_capped_with_the_recorded_iterations(self, rng, monkeypatch,
+                                                              window, sizes):
+        """A cap of 12 solver arrays of 3 channels by 8 frames: a solve that
+        records ``window`` iterations takes window + 1 of them."""
+        d0 = self._dict()
+        corpus = _tiny_corpus(rng, d0, n=5)
+        monkeypatch.setattr(metrics, "STACK_ELEMENTS", 3 * 8 * 12)
+        original, seen = adapt_module.encode_and_grade, []
+
+        def recording(ids, *args):
+            seen.append(len(ids))
+            return original(ids, *args)
+
+        monkeypatch.setattr(adapt_module, "encode_and_grade", recording)
+        cfg = AdaptConfig(mode="alca", epochs=1, batch_size=5, tbptt_window=window,
+                          bounds=default_bounds(8000))
+        adapt_corpus(corpus, d0, self._lca(), cfg)
+        assert seen == sizes
 
     def test_jobs_do_not_change_results(self, rng):
         """Worker processes give the serial path's parameters and history bit

@@ -149,6 +149,19 @@ class TestMakeDictionary:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    @pytest.mark.parametrize("rate", [16000.5, math.inf, math.nan, 0.0])
+    def test_sample_rate_must_be_a_whole_number(self, rate):
+        """A fractional rate would be stored rounded down but synthesized
+        unrounded, so a saved and reloaded dictionary would change its atoms."""
+        with pytest.raises(ConfigError, match="sample_rate must be a positive whole number"):
+            make_dictionary([1000.0], [1.0], [0.0], [4.0], 64, 32, rate)
+
+    def test_whole_float_sample_rate_accepted(self):
+        d = make_dictionary([1000.0], [1.0], [0.0], [4.0], 64, 32, 16000.0)
+        assert d.sample_rate == 16000 and type(d.sample_rate) is int
+        np.testing.assert_array_equal(
+            d.atoms, make_dictionary([1000.0], [1.0], [0.0], [4.0], 64, 32, 16000).atoms)
+
     def test_dictionaries_and_kernels_compare_by_identity(self):
         d1, d2 = (init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000) for _ in range(2))
         k1, k2 = gram_kernel(d1), gram_kernel(d1)

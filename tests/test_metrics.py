@@ -252,6 +252,14 @@ class TestCorpusStacks:
         signals = self._signals(d, [3] * 5)
         assert corpus_stacks(signals, d, jobs=1) == [[0, 1], [2, 3], [4]]
 
+    def test_recorded_iterations_count_against_the_cap(self, rng, monkeypatch):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        monkeypatch.setattr(metrics, "STACK_ELEMENTS", 2 * 4 * 3 * 3)
+        signals = self._signals(d, [3] * 5)
+        assert corpus_stacks(signals, d, jobs=1) == [list(range(5))]
+        # Two recorded iterations on top of the current one: two items per stack.
+        assert corpus_stacks(signals, d, jobs=1, trace_window=2) == [[0, 1], [2, 3], [4]]
+
     def test_desk_corpus_is_one_stack(self):
         """The cap holds the 20-utterance desk corpus: 64 channels, 30 frames."""
         from chirpcode import init_gammatone_dictionary
