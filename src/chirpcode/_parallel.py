@@ -3,7 +3,10 @@
 A corpus-level call opens one pool for its whole run with ``workers(jobs)``;
 every ``pmap`` inside the block reuses it. Each worker runs BLAS on one
 thread, so ``jobs`` workers keep ``jobs`` CPUs busy, not ``jobs`` times the
-BLAS thread count.
+BLAS thread count. Items that ``pmap`` runs in this process run at one BLAS
+thread too: OpenBLAS splits a large product differently over two threads
+than over one, so the rounding, and with it every output, would otherwise
+depend on ``jobs``.
 """
 
 from __future__ import annotations
@@ -83,6 +86,22 @@ def _one_blas_thread():
 
 
 @contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run the block with BLAS on one thread, then restore the previous count."""
+    get_threads = openblas_threads_function("get")
+    set_threads = openblas_threads_function("set")
+    if get_threads is None or set_threads is None:
+        yield
+        return
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+@contextlib.contextmanager
 def workers(jobs: int):
     """Open one pool of ``jobs`` single-BLAS-thread workers for the block.
 
@@ -110,11 +129,12 @@ def pmap(fn, items, jobs: int):
 
     Inside a ``workers`` block the block's pool runs the items; outside one,
     a pool is opened for this call alone. With ``jobs <= 1`` or a single
-    item, everything runs in this process.
+    item, everything runs in this process, at one BLAS thread as in a worker.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(*args) for args in items]
+        with _blas_on_one_thread():
+            return [fn(*args) for args in items]
     if _open_pool.get() is None:
         block = workers(min(jobs, len(items)))
     else:

@@ -387,9 +387,9 @@ def save_code(code: SparseCode, path) -> None:
             for c, f, v in zip(code.channels, code.frames, code.values)
         ],
     }
+    # json.dumps takes the C encoder; json.dump streams through the Python one.
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_code(path) -> SparseCode:

@@ -90,6 +90,60 @@ def dense_frozen_energy(atoms, stride, s, masks, lam, eta, alpha):
     return 0.5 * float(resid @ resid) + alpha * lam * float(np.sum(np.abs(a)))
 
 
+def stepwise_atom_gradient(s, atoms, stride, kernel_lags, history, lam, eta, alpha, window):
+    """Energy gradient w.r.t. the unit-norm atom samples, shape (n, filter_len).
+
+    ``history`` holds the recorded activations, oldest first, the final code
+    last; ``kernel_lags`` is ``GramKernel.lags``. The reverse pass steps back
+    one recorded iteration at a time, over every channel, and forms each
+    lag correlation frame by frame as a sum of outer products.
+    """
+    n, flen = atoms.shape
+    a_final = history[-1]
+    t_frames = a_final.shape[1]
+    max_lag = (len(kernel_lags) - 1) // 2
+    lags = [d for d in range(-max_lag, max_lag + 1) if abs(d) < t_frames]
+
+    def windows(x):
+        return np.array([x[t * stride : t * stride + flen] for t in range(t_frames)])
+
+    resid = loop_overlap_add(atoms.T @ a_final, stride, len(s)) - s
+    g = a_final @ windows(resid)
+
+    steps = min(window, len(history) - 1)
+    gbar = alpha * lam * np.sign(a_final)
+    gbar_sum = np.zeros((n, t_frames))
+    # q[max_lag + d][i, j] = sum_t gbar[i, t] a[j, t + d] + a[i, t] gbar[j, t + d]
+    q = np.zeros((2 * max_lag + 1, n, n))
+    for step in range(steps):
+        a_prev = history[-2 - step]
+        gbar_sum += gbar
+        for d in lags:
+            for t in range(max(0, -d), min(t_frames, t_frames - d)):
+                q[max_lag + d] += np.outer(gbar[:, t], a_prev[:, t + d])
+                q[max_lag + d] += np.outer(a_prev[:, t], gbar[:, t + d])
+        if step < steps - 1:
+            inhibition = np.zeros((n, t_frames))
+            for d in lags:
+                for t in range(max(0, -d), min(t_frames, t_frames - d)):
+                    inhibition[:, t] += kernel_lags[max_lag + d] @ gbar[:, t + d]
+            gbar = (1.0 - eta) * gbar - eta * (a_prev != 0.0) * inhibition
+    g = g + eta * (gbar_sum @ windows(s))
+
+    # Kernel entry (i, j) at lag d is atom i against atom j moved d frames later.
+    kernel_grad = np.zeros((n, flen))
+    for d in lags:
+        shift = d * stride
+        if abs(shift) >= flen:
+            continue
+        moved = np.zeros((n, flen))
+        for k in range(flen):
+            if 0 <= k - shift < flen:
+                moved[:, k] = atoms[:, k - shift]
+        kernel_grad += q[max_lag + d] @ moved
+    return g - eta * kernel_grad
+
+
 def grid_search_energy_2atom(atoms, s, lam, alpha, grid):
     """Brute-force energy surface for a 2-atom, single-frame problem.
 

@@ -1,6 +1,7 @@
 """Adaptation: atom jacobians, energy gradients (vs finite differences), Adamax."""
 
 import multiprocessing
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chirpcode import (
     ConfigError,
     GradientError,
     LcaConfig,
+    LcaState,
     ParamBounds,
     ParamGradients,
     SignalError,
@@ -21,6 +23,7 @@ from chirpcode import (
     encode,
     energy_gradient,
     erb,
+    gram_kernel,
     init_gammatone_dictionary,
     make_dictionary,
 )
@@ -29,7 +32,13 @@ from chirpcode import metrics
 from chirpcode.dictionary import gammachirp_parts
 
 from conftest import random_toy_dictionary
-from oracles import dense_frozen_energy, formant_corpus, independent_atom, independent_atoms
+from oracles import (
+    dense_frozen_energy,
+    formant_corpus,
+    independent_atom,
+    independent_atoms,
+    stepwise_atom_gradient,
+)
 
 
 def _random_params(rng):
@@ -199,6 +208,85 @@ class TestEnergyGradient:
         assert code.n_events > 0
         with pytest.raises(GradientError, match="trace_window"):
             energy_gradient(s, d, state, AdaptConfig(mode="alca"))
+
+
+def _synthetic_trace(rng, fires, t_frames, lam=0.05, eta=0.1):
+    """An LcaState recording len(fires) activation matrices, oldest first:
+    entry k is random and about 40 % dense on the channels fires[k] marks,
+    and zero on the others."""
+    history = [rng.standard_normal((len(row), t_frames)) * (rng.random((len(row), t_frames)) < 0.4)
+               * np.asarray(row, dtype=float)[:, None] for row in fires]
+    a = history[-1]
+    return LcaState(v=a.copy(), a=a, inhibition=np.zeros_like(a), a_history=deque(history),
+                    lam=lam, eta=eta)
+
+
+def _assert_matches_stepwise_oracle(s, d, state, window, alpha=0.7):
+    g = energy_gradient(s, d, state, AdaptConfig(mode="alca-cf", alpha=alpha, tbptt_window=window))
+    expected = stepwise_atom_gradient(s, d.atoms, d.stride, gram_kernel(d).lags,
+                                      list(state.a_history), state.lam, state.eta, alpha, window)
+    jac = dictionary_jacobians(d)
+    for name in ("c", "b", "l", "f"):
+        lane = np.sum(expected * jac[name], axis=1)
+        scale = np.max(np.abs(lane))
+        assert scale > 0
+        assert np.max(np.abs(g.get(name) - lane)) <= 1e-12 * scale, name
+
+
+class TestReversePassOracle:
+    """energy_gradient against the reverse pass taken one iteration at a
+    time over every channel (oracles.stepwise_atom_gradient)."""
+
+    def _signal(self, rng, d, t_frames):
+        return rng.standard_normal((t_frames - 1) * d.stride + d.filter_len) * 0.5
+
+    def test_several_blocks_and_a_partial_last_one(self, rng):
+        """Channel 3 never fires, channel 4 fires only in the final code and
+        channel 5 only in iterations the pass reads before it."""
+        d = random_toy_dictionary(rng, n_channels=6, filter_len=64, stride=32)
+        t_frames, window = 40, 40
+        per = adapt_module.LAG_BLOCK_COLUMNS // (t_frames + d.frames_per_filter - 1)
+        assert per < window and window % per != 0
+        fires = np.ones((46, 6), dtype=bool)
+        fires[:, 3] = False
+        fires[:-1, 4] = False
+        fires[:, 5] = False
+        fires[6:10, 5] = True
+        state = _synthetic_trace(rng, fires, t_frames)
+        _assert_matches_stepwise_oracle(self._signal(rng, d, t_frames), d, state, window)
+
+    @pytest.mark.parametrize("live", [[1, 4], [0, 1, 2, 3, 4, 5]], ids=["silent", "all-live"])
+    def test_live_channel_sets(self, rng, live):
+        d = random_toy_dictionary(rng, n_channels=6, filter_len=64, stride=32)
+        fires = np.zeros((30, 6), dtype=bool)
+        fires[1:, live] = True
+        state = _synthetic_trace(rng, fires, 10)
+        _assert_matches_stepwise_oracle(self._signal(rng, d, 10), d, state, 25)
+
+    def test_max_lag_3_over_2_frames(self, rng):
+        d = random_toy_dictionary(rng, n_channels=5, filter_len=128, stride=32)
+        assert d.frames_per_filter - 1 == 3
+        fires = np.ones((20, 5), dtype=bool)
+        fires[0] = False
+        state = _synthetic_trace(rng, fires, 2)
+        _assert_matches_stepwise_oracle(self._signal(rng, d, 2), d, state, 15)
+
+    def test_window_longer_than_the_recorded_history(self, rng):
+        d = random_toy_dictionary(rng, n_channels=6, filter_len=64, stride=32)
+        fires = np.ones((6, 6), dtype=bool)
+        fires[0] = False
+        state = _synthetic_trace(rng, fires, 10)
+        _assert_matches_stepwise_oracle(self._signal(rng, d, 10), d, state, 50)
+
+    def test_desk_bank_solve(self):
+        """A real 300-iteration trace of the 64-channel desk bank, window 50."""
+        d = init_gammatone_dictionary(64, 80.0, 7600.0, 256, 128, 16000)
+        s = formant_corpus(9, 1, sample_rate=16000, duration=0.1)[0]
+        _, state = encode(s, d, LcaConfig(lam=0.03, eta=0.1, max_iters=300, rel_tol=0.0),
+                          trace_window=50)
+        live = np.any([np.any(a, axis=1) for a in state.a_history], axis=0)
+        assert 0 < np.count_nonzero(live) < d.n_channels
+        _assert_matches_stepwise_oracle(s, d, state, 50, alpha=4.0)
 
 
 class TestAdamax:
@@ -443,6 +531,20 @@ class TestAdaptCorpus:
         assert any(
             not np.array_equal(getattr(d1, n), getattr(d0, n)) for n in adapt_module.PARAM_NAMES
         )
+
+    def test_jobs_do_not_change_a_desk_size_adaptation(self):
+        """64 channels at 16 kHz with a window of 50: the reverse pass's lag
+        correlations are products OpenBLAS threads. Jobs 1 runs every stack
+        in this process, jobs 2 spreads them over workers."""
+        d0 = init_gammatone_dictionary(64, 80.0, 7600.0, 256, 128, 16000)
+        corpus = formant_corpus(5, 4, sample_rate=16000)
+        lca_cfg = LcaConfig(lam=0.03, eta=0.1, max_iters=80)
+        cfg = AdaptConfig(mode="alca-cf", lr_mod=2e-3, lr_cf=10.0, alpha=4.0, tbptt_window=50,
+                          epochs=1, batch_size=4, bounds=default_bounds(16000), seed=7)
+        (d1, h1), (d2, h2) = (adapt_corpus(corpus, d0, lca_cfg, cfg, jobs=jobs) for jobs in (1, 2))
+        assert h1 == h2
+        for name in ("f", "b", "c", "l", "atoms"):
+            np.testing.assert_array_equal(getattr(d1, name), getattr(d2, name))
 
     def test_cf_bound_at_nyquist_rejected_before_any_encode(self, rng, monkeypatch):
         d0 = self._dict()

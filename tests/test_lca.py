@@ -417,6 +417,21 @@ class TestSparseCodeIO:
         assert loaded.lam == code.lam
         assert (loaded.n_channels, loaded.n_frames) == (code.n_channels, code.n_frames)
 
+    def test_golden_bytes(self, tmp_path):
+        """A negative value, one that needs 17 significant digits, and an
+        empty code, each saved to a literal JSON string."""
+        code = SparseCode(n_channels=3, n_frames=4, lam=0.05, channels=np.array([2, 0]),
+                          frames=np.array([3, 1]), values=np.array([0.1 + 0.2, -0.5]))
+        empty = SparseCode(n_channels=2, n_frames=5, lam=0.1, channels=np.array([], dtype=int),
+                           frames=np.array([], dtype=int), values=np.array([]))
+        save_code(code, tmp_path / "code.json")
+        save_code(empty, tmp_path / "empty.json")
+        assert (tmp_path / "code.json").read_bytes() == (
+            b'{"n_channels": 3, "n_frames": 4, "lambda": 0.05, '
+            b'"events": [[0, 1, -0.5], [2, 3, 0.30000000000000004]]}\n')
+        assert (tmp_path / "empty.json").read_bytes() == (
+            b'{"n_channels": 2, "n_frames": 5, "lambda": 0.1, "events": []}\n')
+
     def test_csv_export(self, rng, tmp_path):
         dense = np.zeros((2, 3))
         dense[0, 1] = 0.25

@@ -19,6 +19,7 @@ from chirpcode import (
     benchmark,
     encode,
     energy,
+    init_gammatone_dictionary,
     reconstruct,
     snr,
     sparsity,
@@ -33,6 +34,7 @@ from chirpcode.metrics import (
 )
 
 from conftest import random_toy_dictionary
+from oracles import formant_corpus
 
 
 class TestSnr:
@@ -174,6 +176,19 @@ class TestBenchmark:
         assert parallel.failures == serial.failures
         assert parallel.summaries == serial.summaries
         assert multiprocessing.active_children() == []
+
+    def test_jobs_do_not_change_rows_on_a_threaded_bank(self):
+        """256 channels at 48 kHz: OpenBLAS threads these products, and rounds
+        them differently over two threads than over one. Jobs 1 solves both
+        utterances in this process, jobs 2 one in each worker."""
+        d = init_gammatone_dictionary(256, 20.0, 21600.0, 512, 256, 48000)
+        corpus = [Utterance(id=f"u{i}", samples=s, sample_rate=48000)
+                  for i, s in enumerate(formant_corpus(3, 2, sample_rate=48000))]
+        lca_cfg = LcaConfig(lam=0.01, eta=0.01, max_iters=40)
+        serial, parallel = (benchmark(corpus, [("a", d)], lca_cfg, jobs=jobs) for jobs in (1, 2))
+        assert len(serial.rows) == 2 and not serial.failures
+        assert parallel.rows == serial.rows
+        assert parallel.summaries == serial.summaries
 
     def test_rows_do_not_depend_on_the_stacks(self, rng, monkeypatch):
         """Two frame counts, an utterance too short for one frame, and stacks

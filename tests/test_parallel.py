@@ -36,6 +36,17 @@ class TestWorkers:
             states = pmap(_worker_state, [(i,) for i in range(4)], 2)
         assert [threads for _, threads in states] == [1, 1, 1, 1]
 
+    def test_in_process_items_run_blas_on_one_thread(self):
+        get_threads = openblas_threads_function("get")
+        if get_threads is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count function")
+        before = get_threads()
+        assert [threads for _, threads in pmap(_worker_state, [(0,), (1,)], 1)] == [1, 1]
+        assert [threads for _, threads in pmap(_worker_state, [(0,)], 2)] == [1]
+        with pytest.raises(ValueError):
+            pmap(math.sqrt, [(-1.0,)], 1)
+        assert get_threads() == before
+
     def test_pmap_outside_a_block_opens_and_closes_its_own_pool(self):
         assert pmap(math.sqrt, [(4.0,), (9.0,)], 2) == [2.0, 3.0]
         assert multiprocessing.active_children() == []
