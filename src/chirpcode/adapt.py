@@ -22,7 +22,10 @@ Both are exact restructurings; only the rounding of the sums changes.
 Both parts are assembled per channel as a gradient with respect to the
 normalized atom samples and only then contracted with the analytic atom
 jacobians, so ALCA (adapt c, b, l) and ALCA-CF (also adapt f) differ only in
-which contractions are used. Parameters are stepped with Adamax; the centre
+which contractions are used. The jacobians are evaluated and contracted a
+block of channels at a time, so a gradient holds one block's jacobians and
+not the whole bank's; each row depends on its own channel alone, so the
+blocks change no bit. Parameters are stepped with Adamax; the centre
 frequencies get their own learning rate because their scale (Hz, up to
 Nyquist) is far from the modulation parameters'.
 """
@@ -69,6 +72,15 @@ PARAM_NAMES = ("c", "b", "l", "f")
 # time and 2.8 ms five at a time (465 columns, 65 GFLOP/s). Eleven or sixteen
 # at a time save only another 10-15 % of that and grow the two block buffers.
 LAG_BLOCK_COLUMNS = 512
+
+# Channels per dictionary_jacobians call in energy_gradient: the gradient holds
+# a block's 19 or so (channels, filter_len) temporaries, not a whole bank's.
+# Measured at 700 channels and filter 1024, jacobians plus the four
+# contractions, median of 9 interleaved runs, and the tracemalloc peak:
+# blocks of 16: 78 ms, 2.5 MB; 32: 71 ms, 4.8 MB; 64: 71 ms, 9.5 MB;
+# 128: 88 ms, 19 MB; 256: 101 ms, 38 MB; all 700 at once: 122 ms, 80 MB.
+# 32 is as fast as 64 and holds half the memory.
+JACOBIAN_BLOCK_CHANNELS = 32
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,11 @@ class AdaptConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
+    @property
+    def adapted(self) -> tuple:
+        """The parameters this mode adapts: c, b and l, and in ALCA-CF also f."""
+        return PARAM_NAMES if self.mode == MODE_ALCA_CF else ("c", "b", "l")
+
 
 @dataclass(frozen=True)
 class ParamGradients:
@@ -164,13 +181,16 @@ class AdamaxState:
         )
 
 
-def dictionary_jacobians(d: Dictionary):
+def dictionary_jacobians(d: Dictionary, channels: slice = slice(None)):
     """Partials of the unit-norm atoms w.r.t. (c, b, l, f), a dict of (N, filter_len) arrays.
 
     Each row is orthogonal to its channel's atom, as differentiating through
-    the L2 normalization requires.
+    the L2 normalization requires. ``channels`` selects the rows, every
+    channel by default; each row depends on its own channel only, so a slice
+    gives the same bits as those rows of the whole set.
     """
-    g, env, phase, t = gammachirp_parts(d.f, d.b, d.c, d.l, d.filter_len, float(d.sample_rate))
+    f, b, c, l = d.f[channels], d.b[channels], d.c[channels], d.l[channels]
+    g, env, phase, t = gammachirp_parts(f, b, c, l, d.filter_len, float(d.sample_rate))
     norms = np.linalg.norm(g, axis=1)
     ghat = g / norms[:, None]
     log_t = np.log(t)
@@ -178,9 +198,9 @@ def dictionary_jacobians(d: Dictionary):
 
     raw = {
         "c": -log_t * env_sin,
-        "b": (-2.0 * np.pi * erb(d.f))[:, None] * t * g,
+        "b": (-2.0 * np.pi * erb(f))[:, None] * t * g,
         "l": log_t * g,
-        "f": (-2.0 * np.pi * d.b * erb_slope(d.f))[:, None] * t * g
+        "f": (-2.0 * np.pi * b * erb_slope(f))[:, None] * t * g
         - 2.0 * np.pi * t * env_sin,
     }
     out = {}
@@ -209,16 +229,16 @@ def _contract_lags(q: np.ndarray, atoms: np.ndarray, stride: int) -> np.ndarray:
     n, flen = atoms.shape
     max_lag = q.shape[0] - 1
     out = np.zeros((n, flen))
+    # Only the columns where the shifted atoms overlap the filter are formed.
     for lag in range(-max_lag, max_lag + 1):
         shift = lag * stride
         if abs(shift) >= flen:
             continue
-        shifted = np.zeros_like(atoms)
+        q_lag = q[lag] if lag >= 0 else q[-lag].T
         if shift >= 0:
-            shifted[:, shift:] = atoms[:, : flen - shift]
+            out[:, shift:] += q_lag @ atoms[:, : flen - shift]
         else:
-            shifted[:, :shift] = atoms[:, -shift:]
-        out += (q[lag] if lag >= 0 else q[-lag].T) @ shifted
+            out[:, :shift] += q_lag @ atoms[:, -shift:]
     return out
 
 
@@ -310,15 +330,13 @@ def energy_gradient(
         g_atoms[live] = (g_atoms[live] + eta * (gbar_rows @ windows)
                          - eta * _contract_lags(q, atoms[live], d.stride))
 
-    jac = dictionary_jacobians(d)
-    d_c = np.sum(g_atoms * jac["c"], axis=1)
-    d_b = np.sum(g_atoms * jac["b"], axis=1)
-    d_l = np.sum(g_atoms * jac["l"], axis=1)
-    if config.mode == MODE_ALCA_CF:
-        d_f = np.sum(g_atoms * jac["f"], axis=1)
-    else:
-        d_f = np.zeros(n)
-    return ParamGradients(d_c=d_c, d_b=d_b, d_l=d_l, d_f=d_f)
+    lanes = {name: np.zeros(n) for name in PARAM_NAMES}
+    for start in range(0, n, JACOBIAN_BLOCK_CHANNELS):
+        block = slice(start, start + JACOBIAN_BLOCK_CHANNELS)
+        jac = dictionary_jacobians(d, channels=block)
+        for name in config.adapted:
+            lanes[name][block] = np.sum(g_atoms[block] * jac[name], axis=1)
+    return ParamGradients(**{"d_" + name: lane for name, lane in lanes.items()})
 
 
 def adamax_step(
@@ -342,9 +360,8 @@ def adamax_step(
     if step_index < 1:
         raise OptimizerError(f"step_index must be >= 1, got {step_index}")
     correction = 1.0 - ADAMAX_BETA1 ** step_index
-    adapted = PARAM_NAMES if config.mode == MODE_ALCA_CF else ("c", "b", "l")
     updated = {name: getattr(d, name) for name in PARAM_NAMES}
-    for name in adapted:
+    for name in config.adapted:
         lr = config.lr_cf if name == "f" else config.lr_mod
         g = grads.get(name)
         m = ADAMAX_BETA1 * moments.m[name] + (1.0 - ADAMAX_BETA1) * g

@@ -1,6 +1,7 @@
 """Adaptation: atom jacobians, energy gradients (vs finite differences), Adamax."""
 
 import multiprocessing
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestAtomJacobian:
                 fd = _fd_jacobian(p, name, 128, 16000)
                 rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
                 assert rel <= 1e-5, f"{name}: rel err {rel}"
+
+    def test_a_slice_of_channels_gives_those_rows_bit_for_bit(self, rng):
+        d = random_toy_dictionary(rng, n_channels=10, filter_len=128, stride=64, sample_rate=16000)
+        whole = dictionary_jacobians(d)
+        part = dictionary_jacobians(d, channels=slice(3, 8))
+        for name in ("c", "b", "l", "f"):
+            assert np.array_equal(part[name], whole[name][3:8]), name
 
     def test_chirp_partial_at_zero_chirp(self):
         """At c = 0 the raw chirp partial is the quadrature carrier
@@ -271,6 +279,15 @@ class TestReversePassOracle:
         state = _synthetic_trace(rng, fires, 2)
         _assert_matches_stepwise_oracle(self._signal(rng, d, 2), d, state, 15)
 
+    def test_stride_that_does_not_divide_the_filter(self, rng):
+        """Filter 96, stride 40: lags 1 and 2 overlap the filter by 56 and 16 samples."""
+        d = random_toy_dictionary(rng, n_channels=5, filter_len=96, stride=40)
+        assert d.frames_per_filter - 1 == 2 and d.filter_len % d.stride != 0
+        fires = np.ones((20, 5), dtype=bool)
+        fires[0] = False
+        state = _synthetic_trace(rng, fires, 8)
+        _assert_matches_stepwise_oracle(self._signal(rng, d, 8), d, state, 15)
+
     def test_window_longer_than_the_recorded_history(self, rng):
         d = random_toy_dictionary(rng, n_channels=6, filter_len=64, stride=32)
         fires = np.ones((6, 6), dtype=bool)
@@ -287,6 +304,54 @@ class TestReversePassOracle:
         live = np.any([np.any(a, axis=1) for a in state.a_history], axis=0)
         assert 0 < np.count_nonzero(live) < d.n_channels
         _assert_matches_stepwise_oracle(s, d, state, 50, alpha=4.0)
+
+
+class TestJacobianBlocks:
+    """energy_gradient contracts the jacobians a block of channels at a time."""
+
+    @pytest.mark.parametrize("mode", ["alca", "alca-cf"])
+    def test_blocks_equal_the_whole_bank_bit_for_bit(self, mode, monkeypatch):
+        block = adapt_module.JACOBIAN_BLOCK_CHANNELS
+        d = init_gammatone_dictionary(150, 80.0, 7600.0, 128, 64, 16000)
+        assert d.n_channels > 2 * block and d.n_channels % block != 0
+        s = formant_corpus(3, 1, sample_rate=16000, duration=0.05)[0]
+        _, state = encode(s, d, LcaConfig(lam=0.01, eta=0.01, max_iters=40, rel_tol=0.0),
+                          trace_window=10)
+        cfg = AdaptConfig(mode=mode, alpha=2.0, tbptt_window=10)
+        calls = []
+
+        def spy(d, channels=slice(None)):
+            calls.append(channels)
+            return dictionary_jacobians(d, channels=channels)
+
+        monkeypatch.setattr(adapt_module, "dictionary_jacobians", spy)
+        blocked = energy_gradient(s, d, state, cfg)
+        starts = list(range(0, d.n_channels, block))
+        assert calls == [slice(i, i + block) for i in starts]
+        calls.clear()
+        monkeypatch.setattr(adapt_module, "JACOBIAN_BLOCK_CHANNELS", d.n_channels)
+        whole = energy_gradient(s, d, state, cfg)
+        assert calls == [slice(0, d.n_channels)]
+        for name in ("c", "b", "l", "f"):
+            assert np.array_equal(blocked.get(name), whole.get(name)), name
+        assert np.any(blocked.d_c)
+        assert np.any(blocked.d_f) == (mode == "alca-cf")
+
+    def test_peak_memory_stays_below_one_jacobian_set(self):
+        """At alpha 0 the gradient is the fixed-code term alone; its
+        tracemalloc peak on 300 channels x 1024 samples stays below the
+        4 * 300 * 1024 float64s of one whole-bank jacobian set."""
+        d = init_gammatone_dictionary(300, 80.0, 7600.0, 1024, 512, 16000)
+        s = np.random.default_rng(5).standard_normal(3 * d.stride + d.filter_len) * 0.1
+        _, state = encode(s, d, LcaConfig(lam=0.01, eta=0.005, max_iters=20, rel_tol=0.0))
+        assert np.any(state.a)
+        tracemalloc.start()
+        try:
+            energy_gradient(s, d, state, AdaptConfig(mode="alca-cf", alpha=0.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * d.n_channels * d.filter_len * 8
 
 
 class TestAdamax:
