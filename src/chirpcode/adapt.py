@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .dictionary import (
     signal_windows,
 )
 from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError
-from .lca import LcaConfig, LcaState
+from .lca import LcaConfig, LcaState, check_field_types, config_value
 from .metrics import corpus_signals, encode_and_grade, map_stacks
 
 MODE_ALCA = "alca"
@@ -85,18 +85,22 @@ JACOBIAN_BLOCK_CHANNELS = 32
 
 @dataclass(frozen=True)
 class ParamBounds:
-    """Clamp ranges keeping every channel a valid, well-conditioned filter."""
+    """Clamp ranges (lo, hi) keeping every channel a valid filter; f's is ``default_bounds``'."""
 
-    f: tuple = (20.0, 21600.0)
+    f: tuple
     b: tuple = (0.2, 5.0)
     l: tuple = (1.5, 8.0)
     c: tuple = (-5.0, 5.0)
 
     def __post_init__(self):
         for name in PARAM_NAMES:
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise ConfigError(f"bounds for {name!r} must be a pair (lo, hi), got {pair!r}")
+            lo, hi = (config_value(f"bounds for {name!r}", x, float) for x in pair)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ConfigError(f"bounds for {name!r} must be finite with lo < hi")
+                raise ConfigError(f"bounds for {name!r} must be finite with lo < hi, got {pair!r}")
+            object.__setattr__(self, name, (lo, hi))
         if self.f[0] <= 0:
             raise ConfigError("frequency lower bound must be positive")
         if self.b[0] <= 0:
@@ -106,13 +110,15 @@ class ParamBounds:
 
 
 def default_bounds(sample_rate) -> ParamBounds:
-    """Default clamp ranges for a given sample rate (frequency capped below Nyquist)."""
+    """Default clamp ranges for a sample rate: f from 20 Hz to 0.45 * sample_rate."""
+    if not sample_rate > 0:
+        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
     return ParamBounds(f=(20.0, 0.45 * float(sample_rate)))
 
 
 @dataclass(frozen=True)
 class AdaptConfig:
-    """Adaptation run configuration."""
+    """Adaptation run configuration; ``bounds`` None is the dictionary's ``default_bounds``."""
 
     mode: str
     lr_mod: float = 1e-3
@@ -121,7 +127,7 @@ class AdaptConfig:
     tbptt_window: int = 50
     epochs: int = 10
     batch_size: int = 8
-    bounds: ParamBounds = field(default_factory=ParamBounds)
+    bounds: ParamBounds | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -129,11 +135,12 @@ class AdaptConfig:
         if mode not in (MODE_ALCA, MODE_ALCA_CF):
             raise ConfigError(f"mode must be 'alca' or 'alca-cf', got {self.mode!r}")
         object.__setattr__(self, "mode", mode)
+        check_field_types(self)
         if not self.lr_mod > 0:
             raise ConfigError(f"lr_mod must be positive, got {self.lr_mod}")
         if mode == MODE_ALCA_CF and not self.lr_cf > 0:
             raise ConfigError(f"lr_cf must be positive in alca-cf mode, got {self.lr_cf}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.tbptt_window < 1:
             raise ConfigError(f"tbptt_window must be >= 1, got {self.tbptt_window}")
@@ -141,6 +148,10 @@ class AdaptConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (self.bounds is None or isinstance(self.bounds, ParamBounds)):
+            raise ConfigError(f"bounds must be None or a ParamBounds, got {self.bounds!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def adapted(self) -> tuple:
@@ -181,13 +192,15 @@ class AdamaxState:
         )
 
 
-def dictionary_jacobians(d: Dictionary, channels: slice = slice(None)):
-    """Partials of the unit-norm atoms w.r.t. (c, b, l, f), a dict of (N, filter_len) arrays.
+def dictionary_jacobians(d: Dictionary, channels: slice = slice(None), params=PARAM_NAMES):
+    """Partials of the unit-norm atoms w.r.t. ``params``, a dict of (N, filter_len) arrays.
 
     Each row is orthogonal to its channel's atom, as differentiating through
     the L2 normalization requires. ``channels`` selects the rows, every
     channel by default; each row depends on its own channel only, so a slice
-    gives the same bits as those rows of the whole set.
+    gives the same bits as those rows of the whole set. ``params`` names the
+    parameters, all four of c, b, l and f by default; each partial is computed
+    alone, so a subset gives the same bits as those entries of the whole set.
     """
     f, b, c, l = d.f[channels], d.b[channels], d.c[channels], d.l[channels]
     g, env, phase, t = gammachirp_parts(f, b, c, l, d.filter_len, float(d.sample_rate))
@@ -197,14 +210,15 @@ def dictionary_jacobians(d: Dictionary, channels: slice = slice(None)):
     env_sin = env * np.sin(phase)
 
     raw = {
-        "c": -log_t * env_sin,
-        "b": (-2.0 * np.pi * erb(f))[:, None] * t * g,
-        "l": log_t * g,
-        "f": (-2.0 * np.pi * b * erb_slope(f))[:, None] * t * g
+        "c": lambda: -log_t * env_sin,
+        "b": lambda: (-2.0 * np.pi * erb(f))[:, None] * t * g,
+        "l": lambda: log_t * g,
+        "f": lambda: (-2.0 * np.pi * b * erb_slope(f))[:, None] * t * g
         - 2.0 * np.pi * t * env_sin,
     }
     out = {}
-    for name, dg in raw.items():
+    for name in params:
+        dg = raw[name]()
         radial = np.sum(ghat * dg, axis=1, keepdims=True)
         jac = (dg - ghat * radial) / norms[:, None]
         if not np.all(np.isfinite(jac)):
@@ -333,7 +347,7 @@ def energy_gradient(
     lanes = {name: np.zeros(n) for name in PARAM_NAMES}
     for start in range(0, n, JACOBIAN_BLOCK_CHANNELS):
         block = slice(start, start + JACOBIAN_BLOCK_CHANNELS)
-        jac = dictionary_jacobians(d, channels=block)
+        jac = dictionary_jacobians(d, channels=block, params=config.adapted)
         for name in config.adapted:
             lanes[name][block] = np.sum(g_atoms[block] * jac[name], axis=1)
     return ParamGradients(**{"d_" + name: lane for name, lane in lanes.items()})
@@ -361,13 +375,14 @@ def adamax_step(
         raise OptimizerError(f"step_index must be >= 1, got {step_index}")
     correction = 1.0 - ADAMAX_BETA1 ** step_index
     updated = {name: getattr(d, name) for name in PARAM_NAMES}
+    bounds = config.bounds or default_bounds(d.sample_rate)
     for name in config.adapted:
         lr = config.lr_cf if name == "f" else config.lr_mod
         g = grads.get(name)
         m = ADAMAX_BETA1 * moments.m[name] + (1.0 - ADAMAX_BETA1) * g
         u = np.maximum(ADAMAX_BETA2 * moments.u[name], np.abs(g))
         theta = getattr(d, name) - (lr / correction) * m / (u + ADAMAX_EPS)
-        lo, hi = getattr(config.bounds, name)
+        lo, hi = getattr(bounds, name)
         theta = np.clip(theta, lo, hi)
         if not np.all(np.isfinite(theta)):
             raise OptimizerError(f"non-finite update for parameter {name!r}")
@@ -419,9 +434,10 @@ def adapt_corpus(
     failure in batch order is raised, named by its utterance.
     """
     nyquist = d0.sample_rate / 2
-    if adapt_cfg.mode == MODE_ALCA_CF and adapt_cfg.bounds.f[1] >= nyquist:
+    f_max = (adapt_cfg.bounds or default_bounds(d0.sample_rate)).f[1]
+    if adapt_cfg.mode == MODE_ALCA_CF and f_max >= nyquist:
         raise ConfigError(
-            f"frequency upper bound {adapt_cfg.bounds.f[1]} Hz must lie below "
+            f"frequency upper bound {f_max} Hz must lie below "
             f"Nyquist ({nyquist} Hz) in alca-cf mode"
         )
     corpus = list(corpus)

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: build-dict, encode, decode, adapt, benchmark, export-events.
-Option precedence is flags > --config file > built-in defaults. Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error.
+Option precedence is flags > --config file > defaults. Only the values a
+flag or the file set are forwarded: ``LcaConfig`` and ``AdaptConfig`` hold
+the other defaults and check every value. ``--config`` is taken by the
+commands that read settings, ``--jobs`` by those that start workers. Exit
+codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ import csv
 import datetime
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from ._parallel import default_jobs
 from .adapt import (
+    MODE_ALCA,
+    PARAM_NAMES,
     AdaptConfig,
     ParamBounds,
     adapt_corpus,
@@ -37,7 +43,7 @@ from .errors import (
     ConfigError,
     ParameterError,
 )
-from .lca import LcaConfig, export_events_csv, load_code, save_code
+from .lca import LcaConfig, config_value, export_events_csv, load_code, save_code
 from .metrics import (
     benchmark,
     map_stacks,
@@ -50,6 +56,13 @@ from .metrics import (
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
+
+# LcaConfig.lam has no default, so the CLI gives one; LcaConfig and AdaptConfig
+# default every other solver and adaptation setting.
+DEFAULT_LAMBDA = 0.00045
+
+LCA_KEYS = tuple(f.name for f in fields(LcaConfig))
+ADAPT_KEYS = tuple(f.name for f in fields(AdaptConfig))
 
 
 def _read_config_file(path) -> dict:
@@ -65,33 +78,27 @@ def _read_config_file(path) -> dict:
     return payload
 
 
-def _merge(args, defaults: dict) -> dict:
-    """Apply precedence flags > config file > defaults for the given keys."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_cfg = _read_config_file(config_path)
-        unknown = set(file_cfg) - set(defaults)
+def _settings(args, keys) -> dict:
+    """The values of ``keys`` that the --config file or a flag set; flags win."""
+    settings = {}
+    if args.config:
+        settings = _read_config_file(args.config)
+        unknown = set(settings) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in defaults:
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = value
-    return merged
+            settings[key] = value
+    return settings
 
 
-def _lca_config(cfg: dict) -> LcaConfig:
-    return LcaConfig(
-        lam=float(cfg["lam"]),
-        eta=float(cfg["eta"]),
-        max_iters=int(cfg["max_iters"]),
-        rel_tol=float(cfg["rel_tol"]),
-    )
-
-
-LCA_DEFAULTS = {"lam": 0.00045, "eta": 0.1, "max_iters": 500, "rel_tol": 1e-6}
+def _configs(settings: dict) -> tuple:
+    """LcaConfig and AdaptConfig of the settings given; the classes default the rest."""
+    lca = {key: settings[key] for key in LCA_KEYS if key in settings}
+    adapt = {key: settings[key] for key in ADAPT_KEYS if key in settings}
+    return (LcaConfig(**{"lam": DEFAULT_LAMBDA, **lca}),
+            AdaptConfig(**{"mode": MODE_ALCA, **adapt}))
 
 
 def _add_lca_flags(sub):
@@ -102,13 +109,15 @@ def _add_lca_flags(sub):
                      help="relative energy-change stop tolerance")
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
+def _add_common_flags(sub, *, config=False, jobs=False):
+    if config:
+        sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--json-errors", action="store_true",
                      help="emit failures as JSON on stderr")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes, >= 1 (default: CHIRPCODE_JOBS, else the "
-                          "CPUs this process may use)")
+    if jobs:
+        sub.add_argument("--jobs", type=int, default=None,
+                         help="worker processes, >= 1 (default: CHIRPCODE_JOBS, else the "
+                              "CPUs this process may use)")
 
 
 def _jobs(args) -> int:
@@ -146,30 +155,26 @@ def _gather_utterances(args, d):
 
 # ---------------------------------------------------------------- build-dict
 
-BUILD_DEFAULTS = {
-    "channels": 700, "f_min": 20.0, "f_max": None,
-    "filter_len": 1024, "stride": 512, "sr": 48000, "out": None,
-}
+# Each setting's type; the frequency range defaults to default_bounds(sr).f.
+BUILD_TYPES = {"channels": int, "f_min": float, "f_max": float,
+               "filter_len": int, "stride": int, "sr": int}
+BUILD_DEFAULTS = {"channels": 700, "filter_len": 1024, "stride": 512, "sr": 48000}
 
 
 def cmd_build_dict(args) -> int:
-    cfg = _merge(args, BUILD_DEFAULTS)
-    if not cfg["out"]:
+    settings = _settings(args, (*BUILD_TYPES, "out"))
+    out = settings.pop("out", None)
+    if not out:
         raise ConfigError("--out is required")
-    sr = int(cfg["sr"])
-    f_max = cfg["f_max"] if cfg["f_max"] is not None else 0.45 * sr
-    d = init_gammatone_dictionary(
-        n_channels=int(cfg["channels"]),
-        f_min=float(cfg["f_min"]),
-        f_max=float(f_max),
-        filter_len=int(cfg["filter_len"]),
-        stride=int(cfg["stride"]),
-        sample_rate=sr,
-    )
-    save_dictionary(d, cfg["out"])
+    cfg = {**BUILD_DEFAULTS,
+           **{key: config_value(key, value, BUILD_TYPES[key]) for key, value in settings.items()}}
+    f_min, f_max = default_bounds(cfg["sr"]).f
+    d = init_gammatone_dictionary(cfg["channels"], cfg.get("f_min", f_min), cfg.get("f_max", f_max),
+                                  cfg["filter_len"], cfg["stride"], cfg["sr"])
+    save_dictionary(d, out)
     print(
         f"wrote {d.n_channels} channels spanning {d.f.min():.1f}-{d.f.max():.1f} Hz "
-        f"(filter_len={d.filter_len}, stride={d.stride}, sr={d.sample_rate}) to {cfg['out']}"
+        f"(filter_len={d.filter_len}, stride={d.stride}, sr={d.sample_rate}) to {out}"
     )
     return 0
 
@@ -177,9 +182,8 @@ def cmd_build_dict(args) -> int:
 # -------------------------------------------------------------------- encode
 
 def cmd_encode(args) -> int:
-    defaults = dict(LCA_DEFAULTS, alpha=1.0)
-    cfg = _merge(args, defaults)
-    lca_cfg = _lca_config(cfg)
+    # alpha is checked, and defaulted, as AdaptConfig.alpha
+    lca_cfg, adapt_cfg = _configs(_settings(args, (*LCA_KEYS, "alpha")))
     d = load_dictionary(args.dict)
     utterances = _gather_utterances(args, d)
     out_dir = Path(args.out_dir)
@@ -188,7 +192,7 @@ def cmd_encode(args) -> int:
     ids = [u.id for u in utterances]
     # One pmap call inside, so its own pool is the command's one pool.
     results = map_stacks(reports_and_codes, ids, [u.samples for u in utterances], d,
-                         args.jobs, lca_cfg, gram_kernel(d), float(cfg["alpha"]))
+                         args.jobs, lca_cfg, gram_kernel(d), adapt_cfg.alpha)
     for uid, result in zip(ids, results):
         if isinstance(result, ChirpcodeError):
             raise type(result)(f"utterance {uid!r}: {result}") from result
@@ -230,63 +234,45 @@ def cmd_decode(args) -> int:
 
 # --------------------------------------------------------------------- adapt
 
-ADAPT_DEFAULTS = {
-    "mode": "alca", "lr_mod": 1e-3, "lr_cf": 1.0, "alpha": 1.0,
-    "tbptt_window": 50, "epochs": 10, "batch_size": 8, "seed": 0,
-    "bounds": None, "manifest": None, "dict": None, "out": None,
-    "history": None, "normalize": False,
-    **LCA_DEFAULTS,
-}
+# The adapt command's own settings, next to those of LcaConfig and AdaptConfig.
+ADAPT_FILES = {"manifest": None, "dict": None, "out": None, "history": None, "normalize": False}
 
 
-def _parse_bounds(raw, sample_rate) -> ParamBounds:
-    if raw is None:
-        return default_bounds(sample_rate)
-    if not isinstance(raw, dict):
+def _bounds(raw, sample_rate) -> ParamBounds:
+    """A config file's bounds object; the ranges it leaves out are default_bounds'."""
+    if not (isinstance(raw, dict) and set(raw) <= set(PARAM_NAMES)):
         raise ConfigError("bounds must be an object like {\"f\": [lo, hi], ...}")
-    base = default_bounds(sample_rate)
-    kwargs = {}
-    for name in ("f", "b", "l", "c"):
-        if name in raw:
-            lo, hi = raw[name]
-            kwargs[name] = (float(lo), float(hi))
-        else:
-            kwargs[name] = getattr(base, name)
-    return ParamBounds(**kwargs)
+    return replace(default_bounds(sample_rate), **raw)
 
 
 def cmd_adapt(args) -> int:
-    cfg = _merge(args, ADAPT_DEFAULTS)
+    settings = _settings(args, (*ADAPT_KEYS, *ADAPT_FILES, *LCA_KEYS))
+    raw_bounds = settings.pop("bounds", None)
+    lca_cfg, adapt_cfg = _configs(settings)
+    files = {key: settings.get(key, default) for key, default in ADAPT_FILES.items()}
     for key in ("dict", "manifest", "out"):
-        if not cfg[key]:
+        if not files[key]:
             raise ConfigError(f"--{key} is required (flag or config file)")
-    d0 = load_dictionary(cfg["dict"])
-    corpus = load_corpus(cfg["manifest"], d0.sample_rate, normalize=bool(cfg["normalize"]))
+    if not isinstance(files["normalize"], bool):
+        raise ConfigError(f"normalize must be true or false, got {files['normalize']!r}")
+    d0 = load_dictionary(files["dict"])
+    if raw_bounds is not None:
+        adapt_cfg = replace(adapt_cfg, bounds=_bounds(raw_bounds, d0.sample_rate))
+    corpus = load_corpus(files["manifest"], d0.sample_rate, normalize=files["normalize"])
     if not corpus:
         raise ConfigError("corpus is empty; nothing to adapt")
-    lca_cfg = _lca_config(cfg)
-    adapt_cfg = AdaptConfig(
-        mode=str(cfg["mode"]),
-        lr_mod=float(cfg["lr_mod"]),
-        lr_cf=float(cfg["lr_cf"]),
-        alpha=float(cfg["alpha"]),
-        tbptt_window=int(cfg["tbptt_window"]),
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        bounds=_parse_bounds(cfg["bounds"], d0.sample_rate),
-        seed=int(cfg["seed"]),
-    )
     d, history = adapt_corpus(corpus, d0, lca_cfg, adapt_cfg, jobs=args.jobs)
-    save_dictionary(d, cfg["out"])
-    history_path = cfg["history"] or str(cfg["out"]) + ".history.csv"
+    save_dictionary(d, files["out"])
+    history_path = files["history"] or str(files["out"]) + ".history.csv"
     write_history_csv(history, history_path)
 
+    config = {k: v for k, v in asdict(adapt_cfg).items() if k != "bounds"}
     sidecar = {
         "command": "adapt",
         "completed_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": {k: v for k, v in cfg.items() if k != "bounds"},
+        "config": {**config, **files, **asdict(lca_cfg)},
     }
-    with open(str(cfg["out"]) + ".meta.json", "w") as fh:
+    with open(str(files["out"]) + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=1)
         fh.write("\n")
 
@@ -295,18 +281,17 @@ def cmd_adapt(args) -> int:
         print(
             f"adapted {d.n_channels} channels over {adapt_cfg.epochs} epoch(s); "
             f"final mean energy {last.mean_energy:.6g}, mean SNR {last.mean_snr_db:.2f} dB, "
-            f"mean active {last.mean_active_count:.1f} -> {cfg['out']}"
+            f"mean active {last.mean_active_count:.1f} -> {files['out']}"
         )
     else:
-        print(f"no epochs requested; copied initial dictionary to {cfg['out']}")
+        print(f"no epochs requested; copied initial dictionary to {files['out']}")
     return 0
 
 
 # ----------------------------------------------------------------- benchmark
 
 def cmd_benchmark(args) -> int:
-    cfg = _merge(args, dict(LCA_DEFAULTS))
-    lca_cfg = _lca_config(cfg)
+    lca_cfg, _ = _configs(_settings(args, LCA_KEYS))
     named = []
     for pair in args.dicts:
         name, sep, path = pair.partition("=")
@@ -362,14 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("build-dict", help="write a log-spaced Gammatone dictionary")
     p.add_argument("--channels", type=int, help="number of channels (>= 2)")
-    p.add_argument("--f-min", dest="f_min", type=float, help="lowest centre frequency (Hz)")
+    p.add_argument("--f-min", dest="f_min", type=float,
+                   help="lowest centre frequency (Hz); default: that of default_bounds(sr)")
     p.add_argument("--f-max", dest="f_max", type=float,
-                   help="highest centre frequency (Hz); default 0.45*sr")
+                   help="highest centre frequency (Hz); default: that of default_bounds(sr)")
     p.add_argument("--filter-len", dest="filter_len", type=int, help="filter length (samples)")
     p.add_argument("--stride", type=int, help="frame hop (samples)")
     p.add_argument("--sr", type=int, help="sample rate (Hz)")
     p.add_argument("--out", help="output dictionary JSON path")
-    _add_common_flags(p)
+    _add_common_flags(p, config=True)
     p.set_defaults(func=cmd_build_dict)
 
     p = subs.add_parser("encode", help="encode WAV files to sparse codes")
@@ -381,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="sparsity weight used in reported energy")
     p.add_argument("--normalize", action="store_true", help="peak-normalize each utterance")
     _add_lca_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, config=True, jobs=True)
     p.set_defaults(func=cmd_encode)
 
     p = subs.add_parser("decode", help="reconstruct WAV files from sparse codes")
@@ -412,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_const", const=True, default=None,
                    help="peak-normalize each utterance")
     _add_lca_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, config=True, jobs=True)
     p.set_defaults(func=cmd_adapt)
 
     p = subs.add_parser("benchmark", help="compare dictionaries on a corpus")
@@ -423,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix for report/summary CSV and JSON outputs")
     p.add_argument("--normalize", action="store_true", help="peak-normalize each utterance")
     _add_lca_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, config=True, jobs=True)
     p.set_defaults(func=cmd_benchmark)
 
     p = subs.add_parser("export-events", help="export code events as CSV streams")
@@ -439,7 +425,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.jobs = _jobs(args)
+        if "jobs" in vars(args):
+            args.jobs = _jobs(args)
         return args.func(args)
     except ChirpcodeError as exc:
         exit_code = (

@@ -28,8 +28,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +46,30 @@ from .dictionary import (
 from .errors import ChirpcodeError, CodeError, ConfigError, SignalError, SolverError
 
 
+def config_value(name: str, value, kind: type):
+    """``value`` as a Python ``kind``, float or int, or a ConfigError naming ``name``.
+
+    A float setting takes any real number and an int setting an integer (a
+    float with no fractional part counts); numpy scalars count, bool and str
+    do not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or kind is int and not (isinstance(value, numbers.Integral)
+                                    or float(value).is_integer())):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def check_field_types(config) -> None:
+    """Pass each float and int field of a config dataclass through ``config_value``."""
+    for f in fields(config):
+        # f.type is the annotation's text under postponed evaluation, else the class
+        kind = {"float": float, "int": int}.get(getattr(f.type, "__name__", f.type))
+        if kind is not None:
+            object.__setattr__(config, f.name, config_value(f.name, getattr(config, f.name), kind))
+
+
 @dataclass(frozen=True)
 class LcaConfig:
     """Solver configuration: threshold, Euler step, iteration budget, stop tolerance."""
@@ -55,6 +80,7 @@ class LcaConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        check_field_types(self)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"threshold lam must be finite and >= 0, got {self.lam}")
         if not 0 < self.eta <= 1:

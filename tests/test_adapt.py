@@ -320,9 +320,9 @@ class TestJacobianBlocks:
         cfg = AdaptConfig(mode=mode, alpha=2.0, tbptt_window=10)
         calls = []
 
-        def spy(d, channels=slice(None)):
+        def spy(d, channels=slice(None), **kwargs):
             calls.append(channels)
-            return dictionary_jacobians(d, channels=channels)
+            return dictionary_jacobians(d, channels=channels, **kwargs)
 
         monkeypatch.setattr(adapt_module, "dictionary_jacobians", spy)
         blocked = energy_gradient(s, d, state, cfg)
@@ -651,3 +651,98 @@ class TestConfigValidation:
         range, log-spaced from 1e-6 to 1e2, is a valid ALCA-CF setting."""
         for lr_cf in np.geomspace(1e-6, 1e2, 9):
             assert AdaptConfig(mode="alca-cf", lr_cf=float(lr_cf)).lr_cf == lr_cf
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"epochs": True}, "epochs"),
+        ({"batch_size": 2.5}, "batch_size"),
+        ({"lr_mod": "0.001"}, "lr_mod"),
+        ({"tbptt_window": None}, "tbptt_window"),
+    ])
+    def test_field_of_the_wrong_type_is_named(self, kwargs, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            AdaptConfig(mode="alca", **kwargs)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        cfg = AdaptConfig(mode="alca-cf", lr_cf=np.float64(5.0), epochs=np.int64(3),
+                          batch_size=4.0, seed=np.int32(2))
+        assert (cfg.lr_cf, cfg.epochs, cfg.batch_size, cfg.seed) == (5.0, 3, 4, 2)
+        assert [type(v) for v in (cfg.lr_cf, cfg.epochs, cfg.batch_size, cfg.seed)] == [
+            float, int, int, int]
+
+    def test_nan_alpha_and_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="alpha"):
+            AdaptConfig(mode="alca", alpha=float("nan"))
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            AdaptConfig(mode="alca", seed=-1)
+
+    def test_bounds_must_be_param_bounds(self):
+        with pytest.raises(ConfigError, match="bounds"):
+            AdaptConfig(mode="alca", bounds={"f": (20.0, 4000.0)})
+
+    def test_param_bounds_take_pairs_of_numbers(self):
+        bounds = ParamBounds(f=[20, np.float64(4000.0)])
+        assert bounds.f == (20.0, 4000.0) and type(bounds.f[1]) is float
+        with pytest.raises(ConfigError, match="bounds for 'f' must be a number"):
+            ParamBounds(f=(20.0, "4000"))
+        with pytest.raises(ConfigError, match="bounds for 'b' must be a pair"):
+            ParamBounds(f=(20.0, 4000.0), b=1.0)
+
+
+class TestDefaultBounds:
+    """AdaptConfig's bounds default to default_bounds of the adapted dictionary's rate."""
+
+    def test_default_is_none(self):
+        assert AdaptConfig(mode="alca-cf").bounds is None
+
+    def test_alca_cf_with_default_bounds_runs_on_an_8k_bank(self, rng):
+        d0 = make_dictionary([400.0, 900.0, 2000.0, 3500.0], [1.019] * 4, [0.0] * 4, [4.0] * 4,
+                             16, 8, 8000)
+        lca_cfg = LcaConfig(lam=0.04, eta=0.2, max_iters=120, rel_tol=1e-8)
+        d, history = adapt_corpus(_tiny_corpus(rng, d0), d0, lca_cfg,
+                                  AdaptConfig(mode="alca-cf", lr_cf=1e3, epochs=1))
+        assert len(history) == 1
+        assert not np.array_equal(d.f, d0.f)
+        lo, hi = default_bounds(8000).f
+        assert np.all((lo <= d.f) & (d.f <= hi))
+        assert hi < 4000.0
+
+    def test_adamax_clamps_to_the_dictionary_rate(self):
+        d = make_dictionary([200.0, 800.0, 3200.0], np.ones(3), np.zeros(3), np.full(3, 4.0),
+                            64, 32, 8000)
+        big = ParamGradients(d_c=np.zeros(3), d_b=np.zeros(3), d_l=np.zeros(3),
+                             d_f=np.array([0.0, 0.0, -1.0]))
+        out = adamax_step(d, big, AdamaxState.zeros(3), AdaptConfig(mode="alca-cf", lr_cf=1e9), 1)
+        assert out["f"][2] == default_bounds(8000).f[1]
+
+
+class TestAlcaJacobians:
+    """ALCA asks for the jacobians of c, b and l only; the lanes do not change."""
+
+    def test_a_subset_of_parameters_gives_those_entries_bit_for_bit(self, rng):
+        d = random_toy_dictionary(rng, n_channels=10, filter_len=128, stride=64, sample_rate=16000)
+        whole = dictionary_jacobians(d)
+        part = dictionary_jacobians(d, channels=slice(2, 9), params=("c", "b", "l"))
+        assert sorted(part) == ["b", "c", "l"]
+        for name in part:
+            assert np.array_equal(part[name], whole[name][2:9]), name
+
+    def test_alca_skips_the_f_jacobian(self, monkeypatch):
+        d = init_gammatone_dictionary(40, 80.0, 7600.0, 128, 64, 16000)
+        s = formant_corpus(4, 1, sample_rate=16000, duration=0.05)[0]
+        _, state = encode(s, d, LcaConfig(lam=0.01, eta=0.01, max_iters=40, rel_tol=0.0),
+                          trace_window=10)
+        asked = []
+
+        def spy(d, channels=slice(None), params=adapt_module.PARAM_NAMES):
+            asked.append(tuple(params))
+            return dictionary_jacobians(d, channels=channels, params=params)
+
+        monkeypatch.setattr(adapt_module, "dictionary_jacobians", spy)
+        alca = energy_gradient(s, d, state, AdaptConfig(mode="alca", alpha=2.0, tbptt_window=10))
+        assert set(asked) == {("c", "b", "l")}
+        asked.clear()
+        cf = energy_gradient(s, d, state, AdaptConfig(mode="alca-cf", alpha=2.0, tbptt_window=10))
+        assert set(asked) == {("c", "b", "l", "f")}
+        for name in ("c", "b", "l"):
+            assert np.array_equal(alca.get(name), cf.get(name)), name
+        assert np.any(alca.d_c) and not np.any(alca.d_f) and np.any(cf.d_f)

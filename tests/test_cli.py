@@ -2,13 +2,19 @@
 
 import json
 import math
+import re
+import shlex
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chirpcode import (
-    energy, load_code, load_dictionary, load_wav, reconstruct, save_wav, snr,
+    AdaptConfig, ConfigError, LcaConfig, energy, load_code, load_dictionary, load_wav,
+    reconstruct, save_wav, snr,
 )
+from chirpcode import cli
 from chirpcode.cli import main
 
 from oracles import formant_sweep
@@ -401,3 +407,203 @@ class TestAdaptAndBenchmark:
         ])
         assert code == 2
         assert "out" in stderr
+
+
+class TestConfigChecks:
+    """Settings are checked by LcaConfig and AdaptConfig, for flags and config files alike."""
+
+    def _adapt_argv(self, capsys, tmp_path):
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path)
+        return ["adapt", "--dict", str(dict_path), "--manifest", str(manifest),
+                "--out", str(tmp_path / "out" / "adapted.json"), "--epochs", "1", "--jobs", "1"]
+
+    def _encode_argv(self, capsys, tmp_path):
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path)
+        return ["encode", "--manifest", str(manifest), "--dict", str(dict_path),
+                "--out-dir", str(tmp_path / "out"), "--jobs", "1"]
+
+    @pytest.mark.parametrize("command", ["encode", "adapt"])
+    @pytest.mark.parametrize("setting, message", [
+        ({"eta": "fast"}, "eta must be a number, got 'fast'"),
+        ({"max_iters": 50.5}, "max_iters must be an integer, got 50.5"),
+    ])
+    def test_config_value_of_the_wrong_type_is_a_usage_error(
+            self, capsys, tmp_path, command, setting, message):
+        argv = getattr(self, f"_{command}_argv")(capsys, tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(setting))
+        code, _, stderr = _run(capsys, argv + ["--config", str(cfg)])
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_encode_alpha_is_refused_as_adapt_config_does(self, capsys, tmp_path):
+        argv = self._encode_argv(capsys, tmp_path)
+        with pytest.raises(ConfigError) as expected:
+            AdaptConfig(mode="alca", alpha=-1.0)
+        code, _, stderr = _run(capsys, argv + ["--alpha", "-1"])
+        assert code == 2
+        assert stderr == f"error: {expected.value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_boolean_normalize_is_a_usage_error(self, capsys, tmp_path):
+        argv = self._adapt_argv(capsys, tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"normalize": "no"}))
+        code, _, stderr = _run(capsys, argv + ["--config", str(cfg)])
+        assert code == 2
+        assert "normalize must be true or false" in stderr
+
+    @pytest.mark.parametrize("bounds, message", [
+        ({"g": [1, 2]}, "bounds must be an object"),
+        ({"f": [100, "3000"]}, "bounds for 'f' must be a number"),
+        ({"f": 100}, "bounds for 'f' must be a pair"),
+    ])
+    def test_bad_bounds_object_is_a_usage_error(self, capsys, tmp_path, bounds, message):
+        argv = self._adapt_argv(capsys, tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"mode": "alca-cf", "bounds": bounds}))
+        code, _, stderr = _run(capsys, argv + ["--config", str(cfg)])
+        assert code == 2
+        assert message in stderr
+
+    def test_build_dict_config_value_of_the_wrong_type_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"channels": "16"}))
+        code, _, stderr = _run(capsys, ["build-dict", "--config", str(cfg),
+                                        "--out", str(tmp_path / "d.json")])
+        assert code == 2
+        assert stderr == "error: channels must be an integer, got '16'\n"
+
+    def test_build_dict_bad_rate_is_named(self, capsys, tmp_path):
+        code, _, stderr = _run(capsys, ["build-dict", "--sr", "0",
+                                        "--out", str(tmp_path / "d.json")])
+        assert code == 2
+        assert stderr == "error: sample_rate must be positive, got 0\n"
+
+    def test_build_dict_default_frequency_range_is_default_bounds(self, capsys, tmp_path):
+        from chirpcode import default_bounds
+
+        out = tmp_path / "d.json"
+        code, _, _ = _run(capsys, ["build-dict", "--channels", "8", "--filter-len", "64",
+                                   "--stride", "32", "--sr", "8000", "--out", str(out)])
+        assert code == 0
+        d = load_dictionary(out)
+        assert (d.f[0], d.f[-1]) == pytest.approx(default_bounds(8000).f, rel=1e-12)
+
+
+class TestOptionsThatDoNothingAreRefused:
+    @pytest.mark.parametrize("argv", [
+        ["decode", "c.code.json", "--dict", "d.json", "--out-dir", "o", "--config", "x.json"],
+        ["decode", "c.code.json", "--dict", "d.json", "--out-dir", "o", "--jobs", "2"],
+        ["export-events", "c.code.json", "--out-dir", "o", "--config", "x.json"],
+        ["export-events", "c.code.json", "--out-dir", "o", "--jobs", "2"],
+        ["build-dict", "--out", "d.json", "--jobs", "2"],
+    ], ids=["decode-config", "decode-jobs", "export-config", "export-jobs", "build-dict-jobs"])
+    def test_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_variable_does_not_stop_commands_without_workers(
+            self, capsys, monkeypatch, tmp_path):
+        from chirpcode import SparseCode, save_code
+
+        monkeypatch.setenv("CHIRPCODE_JOBS", "junk")
+        dict_path = _build_small_dict(capsys, tmp_path)
+        code_path = tmp_path / "one.code.json"
+        dense = np.zeros((16, 3))
+        dense[2, 1] = 0.5
+        save_code(SparseCode.from_dense(dense, lam=0.1), code_path)
+        for argv in (["decode", str(code_path), "--dict", str(dict_path),
+                      "--out-dir", str(tmp_path / "recon")],
+                     ["export-events", str(code_path), "--out-dir", str(tmp_path / "ev")]):
+            code, _, stderr = _run(capsys, argv)
+            assert code == 0, stderr
+        assert (tmp_path / "recon" / "one.wav").exists()
+        assert (tmp_path / "ev" / "one.events.csv").exists()
+
+
+class TestDefaultsLiveInTheConfigClasses:
+    """With no solver flags the CLI builds the config classes' own defaults."""
+
+    @dataclass(frozen=True)
+    class ShiftedLca(LcaConfig):
+        eta: float = 0.05
+        max_iters: int = 123
+        rel_tol: float = 1e-3
+
+    @dataclass(frozen=True)
+    class ShiftedAdapt(AdaptConfig):
+        lr_mod: float = 2e-3
+        lr_cf: float = 3.0
+        alpha: float = 2.5
+        tbptt_window: int = 7
+        epochs: int = 2
+        batch_size: int = 3
+        seed: int = 9
+
+    def _configs_of(self, capsys, monkeypatch, tmp_path):
+        """The configs that encode and adapt hand to the library."""
+        seen = {}
+
+        def fake_map_stacks(fn, ids, signals, d, jobs, lca_cfg, kernel, alpha):
+            seen["encode"] = (lca_cfg, alpha)
+            raise ConfigError("stop after the configs")
+
+        def fake_adapt_corpus(corpus, d0, lca_cfg, adapt_cfg, jobs=1):
+            seen["adapt"] = (lca_cfg, adapt_cfg)
+            raise ConfigError("stop after the configs")
+
+        monkeypatch.setattr(cli, "map_stacks", fake_map_stacks)
+        monkeypatch.setattr(cli, "adapt_corpus", fake_adapt_corpus)
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path)
+        _run(capsys, ["encode", "--manifest", str(manifest), "--dict", str(dict_path),
+                      "--out-dir", str(tmp_path / "codes"), "--jobs", "1"])
+        _run(capsys, ["adapt", "--dict", str(dict_path), "--manifest", str(manifest),
+                      "--out", str(tmp_path / "a.json"), "--jobs", "1"])
+        return seen
+
+    def test_defaults_equal_the_classes(self, capsys, monkeypatch, tmp_path):
+        seen = self._configs_of(capsys, monkeypatch, tmp_path)
+        assert seen["encode"] == (LcaConfig(lam=0.00045), AdaptConfig(mode="alca").alpha)
+        assert seen["adapt"] == (LcaConfig(lam=0.00045), AdaptConfig(mode="alca"))
+
+    def test_defaults_follow_the_classes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "LcaConfig", self.ShiftedLca)
+        monkeypatch.setattr(cli, "AdaptConfig", self.ShiftedAdapt)
+        seen = self._configs_of(capsys, monkeypatch, tmp_path)
+        assert seen["encode"] == (self.ShiftedLca(lam=0.00045), 2.5)
+        assert seen["adapt"] == (self.ShiftedLca(lam=0.00045), self.ShiftedAdapt(mode="alca"))
+
+
+def _readme_command_lines():
+    """The chirpcode command lines of README.md's code blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("chirpcode "):
+                lines.append(line)
+    return lines
+
+
+README_LINES = _readme_command_lines()
+
+
+def test_readme_has_command_lines():
+    assert len(README_LINES) >= 8
+
+
+@pytest.mark.parametrize("line", README_LINES,
+                         ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(README_LINES)])
+def test_readme_command_line_parses(line):
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    assert args.func.__name__ == "cmd_" + args.command.replace("-", "_")

@@ -467,3 +467,26 @@ class TestSparseCodeIO:
                 channels=np.array([0]), frames=np.array([1]),
                 values=np.array([0.0]),
             )
+
+
+class TestLcaConfigTypes:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lam": "0.1"}, "lam must be a number, got '0.1'"),
+        ({"lam": 0.1, "max_iters": 50.5}, "max_iters must be an integer, got 50.5"),
+        ({"lam": 0.1, "eta": True}, "eta must be a number, got True"),
+        ({"lam": 0.1, "rel_tol": None}, "rel_tol must be a number, got None"),
+        ({"lam": 0.1, "max_iters": np.bool_(True)}, "max_iters must be an integer"),
+    ])
+    def test_wrong_type_is_a_config_error_naming_the_field(self, kwargs, message):
+        from chirpcode import ConfigError
+
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            LcaConfig(**kwargs)
+
+    def test_numpy_scalars_and_whole_floats_are_accepted(self):
+        cfg = LcaConfig(lam=np.float64(0.1), eta=np.float32(0.5), max_iters=np.int64(50),
+                        rel_tol=0)
+        assert cfg == LcaConfig(lam=0.1, eta=float(np.float32(0.5)), max_iters=50, rel_tol=0.0)
+        assert [type(v) for v in (cfg.lam, cfg.eta, cfg.max_iters, cfg.rel_tol)] == [
+            float, float, int, float]
+        assert LcaConfig(lam=0.1, max_iters=300.0).max_iters == 300
