@@ -1,12 +1,12 @@
 """Corpus-level parallel map used by encode/benchmark/adapt batches.
 
-A corpus-level call opens one pool for its whole run with ``workers(jobs)``;
-every ``pmap`` inside the block reuses it. Each worker runs BLAS on one
-thread, so ``jobs`` workers keep ``jobs`` CPUs busy, not ``jobs`` times the
-BLAS thread count. Items that ``pmap`` runs in this process run at one BLAS
-thread too: OpenBLAS splits a large product differently over two threads
-than over one, so the rounding, and with it every output, would otherwise
-depend on ``jobs``.
+``workers(jobs)`` is the one place that starts worker processes: a corpus
+call opens one pool for its whole run, every ``pmap`` inside the block
+reuses it, and ``pmap`` outside a block runs in this process. Each worker
+runs BLAS on one thread, so ``jobs`` workers keep ``jobs`` CPUs busy. Items
+that ``pmap`` runs in this process run at one BLAS thread too: OpenBLAS
+splits a large product differently over two threads than over one, so the
+rounding, and with it every output, would otherwise depend on ``jobs``.
 """
 
 from __future__ import annotations
@@ -125,19 +125,14 @@ def workers(jobs: int):
 
 
 def pmap(fn, items, jobs: int):
-    """``[fn(*args) for args in items]``; uses worker processes when jobs > 1.
+    """``[fn(*args) for args in items]``, over the pool of the open ``workers`` block.
 
-    Inside a ``workers`` block the block's pool runs the items; outside one,
-    a pool is opened for this call alone. With ``jobs <= 1`` or a single
-    item, everything runs in this process, at one BLAS thread as in a worker.
+    With no open block, ``jobs <= 1`` or a single item, everything runs in
+    this process, at one BLAS thread as in a worker. ``pmap`` never starts a
+    process itself.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    if _open_pool.get() is None or jobs <= 1 or len(items) <= 1:
         with _blas_on_one_thread():
             return [fn(*args) for args in items]
-    if _open_pool.get() is None:
-        block = workers(min(jobs, len(items)))
-    else:
-        block = contextlib.nullcontext()
-    with block:
-        return list(_open_pool.get().map(fn, *zip(*items)))
+    return list(_open_pool.get().map(fn, *zip(*items)))

@@ -54,7 +54,7 @@ from .dictionary import (
 )
 from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError
 from .lca import LcaConfig, LcaState, check_field_types, config_value
-from .metrics import corpus_signals, encode_and_grade, map_stacks
+from .metrics import corpus_signals, encode_and_grade, map_stacks, raise_first_failure
 
 MODE_ALCA = "alca"
 MODE_ALCA_CF = "alca-cf"
@@ -405,7 +405,7 @@ class EpochStats:
 def _adapt_stack(ids, signals, d, kernel, lca_cfg, adapt_cfg):
     # (report, gradients) or the ChirpcodeError of each utterance of a stack,
     # returned, not raised, so the caller names the first failure in batch order.
-    graded = encode_and_grade(ids, signals, d, lca_cfg, kernel, adapt_cfg.alpha,
+    graded = encode_and_grade(ids, signals, d, kernel, lca_cfg, adapt_cfg.alpha,
                               adapt_cfg.tbptt_window)
     out = []
     for signal, result in zip(signals, graded):
@@ -426,12 +426,12 @@ def adapt_corpus(
 
     Each epoch shuffles the corpus (seeded), walks it in mini-batches, averages
     the per-utterance gradients over each batch, applies one Adamax step, and
-    re-synthesizes the atoms and inhibition kernel. Per-epoch statistics are
-    the means over the encodes performed during that epoch. A batch is solved
-    in stacks, as ``encode`` solves a corpus, and ``jobs`` > 1 spreads them
-    over one pool of workers open for the whole run. The optimizer step stays
-    a serial barrier, the gradient mean keeps batch order, and the first
-    failure in batch order is raised, named by its utterance.
+    re-synthesizes the atoms. A batch is solved in stacks by ``map_stacks``,
+    which builds the batch's inhibition kernel, and ``jobs`` > 1 spreads the
+    stacks over one pool of workers open for the whole run. Per-epoch
+    statistics are the means over that epoch's encodes. The optimizer step
+    stays a serial barrier, the gradient mean keeps batch order, and the
+    first failure in batch order is raised, named by its utterance.
     """
     nyquist = d0.sample_rate / 2
     f_max = (adapt_cfg.bounds or default_bounds(d0.sample_rate)).f[1]
@@ -448,7 +448,6 @@ def adapt_corpus(
     rng = np.random.default_rng(adapt_cfg.seed)
     moments = AdamaxState.zeros(d0.n_channels)
     d = d0
-    kernel = gram_kernel(d)
     history = []
     step_index = 0
 
@@ -462,11 +461,9 @@ def adapt_corpus(
                 batch_ids = [ids[idx] for idx in batch]
                 results = map_stacks(
                     _adapt_stack, batch_ids, [signals[idx] for idx in batch], d, jobs,
-                    kernel, lca_cfg, adapt_cfg, trace_window=adapt_cfg.tbptt_window,
+                    lca_cfg, adapt_cfg, trace_window=adapt_cfg.tbptt_window,
                 )
-                for uid, result in zip(batch_ids, results):
-                    if isinstance(result, ChirpcodeError):
-                        raise type(result)(f"utterance {uid!r}: {result}") from result
+                raise_first_failure(batch_ids, results)
                 reports, batch_grads = zip(*results)
                 energies += [r.energy for r in reports]
                 snrs += [r.snr_db for r in reports]
@@ -480,7 +477,6 @@ def adapt_corpus(
                 d = make_dictionary(
                     **stepped, filter_len=d.filter_len, stride=d.stride, sample_rate=d.sample_rate
                 )
-                kernel = gram_kernel(d)
             history.append(
                 EpochStats(
                     epoch=epoch,

@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from ._parallel import default_jobs
+from ._parallel import default_jobs, workers
 from .adapt import (
     MODE_ALCA,
     PARAM_NAMES,
@@ -30,7 +30,6 @@ from .adapt import (
 )
 from .audio import load_corpus, load_wav, save_wav
 from .dictionary import (
-    gram_kernel,
     init_gammatone_dictionary,
     load_dictionary,
     reconstruct,
@@ -46,7 +45,9 @@ from .errors import (
 from .lca import LcaConfig, config_value, export_events_csv, load_code, save_code
 from .metrics import (
     benchmark,
+    corpus_signals,
     map_stacks,
+    raise_first_failure,
     reports_and_codes,
     write_report_csv,
     write_report_json,
@@ -189,13 +190,11 @@ def cmd_encode(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ids = [u.id for u in utterances]
-    # One pmap call inside, so its own pool is the command's one pool.
-    results = map_stacks(reports_and_codes, ids, [u.samples for u in utterances], d,
-                         args.jobs, lca_cfg, gram_kernel(d), adapt_cfg.alpha)
-    for uid, result in zip(ids, results):
-        if isinstance(result, ChirpcodeError):
-            raise type(result)(f"utterance {uid!r}: {result}") from result
+    ids, signals = corpus_signals(utterances, d.sample_rate)
+    with workers(min(args.jobs, len(ids))):
+        results = map_stacks(reports_and_codes, ids, signals, d, args.jobs,
+                             lca_cfg, adapt_cfg.alpha)
+    raise_first_failure(ids, results)
 
     report_path = args.report or out_dir / "encode_report.csv"
     with open(report_path, "w", newline="") as fh:
@@ -212,20 +211,32 @@ def cmd_encode(args) -> int:
 
 # -------------------------------------------------------------------- decode
 
+def _code_stems(code_paths) -> list:
+    """Each code file's name without ``.json`` or ``.code.json``; two files
+    with one stem would write one output, so that is a ConfigError."""
+    stems = []
+    for code_path in code_paths:
+        stem = Path(code_path).stem
+        if stem.endswith(".code"):
+            stem = stem[: -len(".code")]
+        if stem in stems:
+            raise ConfigError(f"two code files are named {stem!r}; their outputs would collide")
+        stems.append(stem)
+    return stems
+
+
 def cmd_decode(args) -> int:
+    stems = _code_stems(args.codes)
     d = load_dictionary(args.dict)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for code_path in args.codes:
+    for code_path, stem in zip(args.codes, stems):
         code = load_code(code_path)
         if code.n_channels != d.n_channels:
             raise CodeError(
                 f"{code_path}: code has {code.n_channels} channels, "
                 f"dictionary has {d.n_channels}"
             )
-        stem = Path(code_path).stem
-        if stem.endswith(".code"):
-            stem = stem[: -len(".code")]
         samples = reconstruct(d, code)
         save_wav(out_dir / f"{stem}.wav", samples, d.sample_rate)
     print(f"decoded {len(args.codes)} code file(s) into {out_dir}")
@@ -250,9 +261,14 @@ def cmd_adapt(args) -> int:
     raw_bounds = settings.pop("bounds", None)
     lca_cfg, adapt_cfg = _configs(settings)
     files = {key: settings.get(key, default) for key, default in ADAPT_FILES.items()}
-    for key in ("dict", "manifest", "out"):
-        if not files[key]:
+    for key in ("dict", "manifest", "out", "history"):
+        value = files[key]
+        if key != "history" and value in (None, ""):
             raise ConfigError(f"--{key} is required (flag or config file)")
+        if value is not None and not (isinstance(value, str) and value):
+            raise ConfigError(f"{key} must be a non-empty path string, got {value!r}")
+    if files["history"] is None:
+        files["history"] = files["out"] + ".history.csv"
     if not isinstance(files["normalize"], bool):
         raise ConfigError(f"normalize must be true or false, got {files['normalize']!r}")
     d0 = load_dictionary(files["dict"])
@@ -263,8 +279,7 @@ def cmd_adapt(args) -> int:
         raise ConfigError("corpus is empty; nothing to adapt")
     d, history = adapt_corpus(corpus, d0, lca_cfg, adapt_cfg, jobs=args.jobs)
     save_dictionary(d, files["out"])
-    history_path = files["history"] or str(files["out"]) + ".history.csv"
-    write_history_csv(history, history_path)
+    write_history_csv(history, files["history"])
 
     config = {k: v for k, v in asdict(adapt_cfg).items() if k != "bounds"}
     sidecar = {
@@ -272,7 +287,7 @@ def cmd_adapt(args) -> int:
         "completed_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": {**config, **files, **asdict(lca_cfg)},
     }
-    with open(str(files["out"]) + ".meta.json", "w") as fh:
+    with open(files["out"] + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=1)
         fh.write("\n")
 
@@ -324,14 +339,11 @@ def cmd_benchmark(args) -> int:
 # ------------------------------------------------------------- export-events
 
 def cmd_export_events(args) -> int:
+    stems = _code_stems(args.codes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for code_path in args.codes:
-        code = load_code(code_path)
-        stem = Path(code_path).stem
-        if stem.endswith(".code"):
-            stem = stem[: -len(".code")]
-        export_events_csv(code, out_dir / f"{stem}.events.csv")
+    for code_path, stem in zip(args.codes, stems):
+        export_events_csv(load_code(code_path), out_dir / f"{stem}.events.csv")
     print(f"exported {len(args.codes)} event stream(s) into {out_dir}")
     return 0
 

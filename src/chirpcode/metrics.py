@@ -96,7 +96,7 @@ def corpus_signals(corpus, sample_rate):
     return ids, signals
 
 
-def encode_and_grade(ids, signals, d, lca_cfg, kernel=None, alpha=1.0, trace_window=0):
+def encode_and_grade(ids, signals, d, kernel, lca_cfg, alpha=1.0, trace_window=0):
     """Encode a stack of utterances that share a frame count, then grade each:
     one residual per utterance gives its SNR and the ``lca.energy`` objective
     at weight ``alpha``. Returns, in input order, (report, code, state) for
@@ -156,12 +156,15 @@ def reports_and_codes(*args):
 
 
 def map_stacks(fn, ids, signals, d, jobs, *args, trace_window=0):
-    """Run ``fn(stack_ids, stack_signals, d, *args)`` on each stack of
-    ``corpus_stacks(signals, d, jobs, trace_window)``, over ``jobs`` workers.
-    ``fn`` returns one result per utterance; they come back in corpus order.
+    """Run ``fn(stack_ids, stack_signals, d, kernel, *args)`` on each stack of
+    ``corpus_stacks(signals, d, jobs, trace_window)``, over the open ``workers``
+    pool if any; results come back in corpus order. ``kernel = gram_kernel(d)``
+    is built once, here in the calling process: its last bits depend on the
+    BLAS thread count, so not in a worker or in ``pmap``'s one-thread block.
     """
+    kernel = gram_kernel(d)
     stacks = corpus_stacks(signals, d, jobs, trace_window)
-    tasks = [([ids[i] for i in stack], [signals[i] for i in stack], d, *args)
+    tasks = [([ids[i] for i in stack], [signals[i] for i in stack], d, kernel, *args)
              for stack in stacks]
     results = [None] * len(ids)
     for stack, out in zip(stacks, pmap(fn, tasks, jobs)):
@@ -170,18 +173,28 @@ def map_stacks(fn, ids, signals, d, jobs, *args, trace_window=0):
     return results
 
 
+def raise_first_failure(ids, results) -> None:
+    """Raise the first ChirpcodeError of ``results`` as "utterance 'x': ..."."""
+    for uid, result in zip(ids, results):
+        if isinstance(result, ChirpcodeError):
+            raise type(result)(f"utterance {uid!r}: {result}") from result
+
+
 def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> BenchmarkReport:
     """Encode a corpus under each named dictionary and aggregate SNR/sparsity.
 
     ``dictionaries`` is a list of (name, Dictionary) pairs sharing geometry and
-    sample rate. Per-utterance failures are recorded and the report is marked
-    partial instead of aborting the run.
+    sample rate, under distinct names. Per-utterance failures are recorded and
+    the report is marked partial instead of aborting the run.
     """
     dictionaries = list(dictionaries)
     if not dictionaries:
         raise ConfigError("no dictionaries to benchmark")
     ref: Dictionary = dictionaries[0][1]
+    names = [name for name, _ in dictionaries]
     for name, d in dictionaries:
+        if names.count(name) > 1:
+            raise ConfigError(f"dictionary name {name!r} is given more than once")
         if (d.filter_len, d.stride, d.sample_rate) != (
             ref.filter_len, ref.stride, ref.sample_rate,
         ):
@@ -192,8 +205,7 @@ def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> Benchm
     summaries = []
     with workers(min(jobs, len(ids))):
         for name, d in dictionaries:
-            results = map_stacks(reports_and_codes, ids, signals, d, jobs,
-                                 lca_cfg, gram_kernel(d))
+            results = map_stacks(reports_and_codes, ids, signals, d, jobs, lca_cfg)
             finite_snrs, counts, per_frame = [], [], []
             excluded = 0
             for uid, result in zip(ids, results):

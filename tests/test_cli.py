@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import re
 import shlex
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from chirpcode import (
     AdaptConfig, ConfigError, LcaConfig, energy, load_code, load_dictionary, load_wav,
     reconstruct, save_wav, snr,
 )
-from chirpcode import cli
+from chirpcode import _parallel, cli, metrics
 from chirpcode.cli import main
 
 from oracles import formant_sweep
@@ -156,6 +157,44 @@ class TestEncodeDecode:
             outputs.append(b"".join(
                 sorted(p.read_bytes() for p in out_dir.glob("*.code.json"))
             ) + (out_dir / "encode_report.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_jobs_two_starts_one_pool_for_two_frame_counts(self, capsys, monkeypatch, tmp_path):
+        """The command's workers block starts the one pool, and the stacks of
+        both frame counts run on it; the outputs are those of --jobs 1."""
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path, sr=8000, n=2)
+        rng, rows = np.random.default_rng(6), manifest.read_text()
+        for i in range(2):
+            save_wav(tmp_path / f"s{i}.wav", formant_sweep(rng, 8000, 0.05), 8000)
+            rows += f"s{i}.wav,s{i},\n"
+        manifest.write_text(rows)
+        pools, open_at_pmap = [], []
+
+        class CountedPool(_parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        def spying_pmap(fn, items, jobs, original=metrics.pmap):
+            open_at_pmap.append(_parallel._open_pool.get())
+            return original(fn, items, jobs)
+
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(metrics, "pmap", spying_pmap)
+        outputs = []
+        for jobs in ("2", "1"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            code, _, stderr = _run(capsys, [
+                "encode", "--manifest", str(manifest), "--dict", str(dict_path),
+                "--out-dir", str(out_dir), "--lambda", "0.02", "--jobs", jobs,
+            ])
+            assert code == 0, stderr
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert len(pools) == 1
+        assert open_at_pmap == [pools[0], None]
+        assert multiprocessing.active_children() == []
+        assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -306,6 +345,45 @@ class TestConfigPrecedence:
         assert "lamda" in stderr
 
 
+class TestOneOutputPerInput:
+    """Two inputs that would write one output are refused before anything is written."""
+
+    def _two_codes_named_u0(self, tmp_path):
+        from chirpcode import SparseCode, save_code
+
+        dense = np.zeros((16, 3))
+        dense[2, 1] = 0.5
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "u0.code.json")
+            save_code(SparseCode.from_dense(dense, lam=0.1), paths[-1])
+        return [str(p) for p in paths]
+
+    @pytest.mark.parametrize("command", ["decode", "export-events"])
+    def test_two_code_files_with_one_stem(self, capsys, tmp_path, command):
+        dict_path = _build_small_dict(capsys, tmp_path)
+        argv = [command, *self._two_codes_named_u0(tmp_path), "--out-dir", str(tmp_path / "out")]
+        if command == "decode":
+            argv += ["--dict", str(dict_path)]
+        code, _, stderr = _run(capsys, argv)
+        assert code == 2
+        assert stderr == "error: two code files are named 'u0'; their outputs would collide\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_benchmark_dictionary_name_given_twice(self, capsys, tmp_path):
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path)
+        prefix = tmp_path / "out" / "bench_"
+        code, _, stderr = _run(capsys, [
+            "benchmark", "--manifest", str(manifest), "--dict", f"x={dict_path}",
+            "--dict", f"x={dict_path}", "--out-prefix", str(prefix), "--jobs", "1",
+        ])
+        assert code == 2
+        assert stderr == "error: dictionary name 'x' is given more than once\n"
+        assert not list(tmp_path.glob("**/bench_*"))
+
+
 class TestExportEvents:
     def test_empty_code_gives_header_only(self, capsys, tmp_path):
         from chirpcode import SparseCode, save_code
@@ -397,6 +475,37 @@ class TestAdaptAndBenchmark:
         assert code == 0
         adapted = load_dictionary(out)
         assert np.all((50.0 <= adapted.f) & (adapted.f <= 3500.0))
+
+    def test_sidecar_records_the_default_history_path(self, capsys, tmp_path):
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path, n=2)
+        out = tmp_path / "a.json"
+        code, _, stderr = _run(capsys, [
+            "adapt", "--dict", str(dict_path), "--manifest", str(manifest), "--out", str(out),
+            "--epochs", "1", "--max-iters", "20", "--tbptt-window", "5", "--jobs", "1",
+        ])
+        assert code == 0, stderr
+        sidecar = json.loads((tmp_path / "a.json.meta.json").read_text())
+        assert sidecar["config"]["history"] == f"{out}.history.csv"
+        assert Path(sidecar["config"]["history"]).exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("dict", 7), ("manifest", 7), ("out", 7), ("history", 7),
+        ("out", ["o.json"]), ("history", ""),
+    ])
+    def test_path_setting_that_is_not_a_string(self, capsys, monkeypatch, tmp_path, key, value):
+        """Checked before any file is read: a number would open a file descriptor."""
+        def no_read(*args, **kwargs):
+            raise AssertionError("read a file before checking the path settings")
+
+        monkeypatch.setattr(cli, "load_dictionary", no_read)
+        monkeypatch.setattr(cli, "load_corpus", no_read)
+        paths = {"dict": "d.json", "manifest": "m.csv", "out": "o.json", key: value}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(paths))
+        code, _, stderr = _run(capsys, ["adapt", "--config", str(cfg), "--jobs", "1"])
+        assert code == 2
+        assert stderr == f"error: {key} must be a non-empty path string, got {value!r}\n"
 
     def test_adapt_requires_out(self, capsys, tmp_path):
         dict_path = _build_small_dict(capsys, tmp_path)
@@ -552,7 +661,7 @@ class TestDefaultsLiveInTheConfigClasses:
         """The configs that encode and adapt hand to the library."""
         seen = {}
 
-        def fake_map_stacks(fn, ids, signals, d, jobs, lca_cfg, kernel, alpha):
+        def fake_map_stacks(fn, ids, signals, d, jobs, lca_cfg, alpha):
             seen["encode"] = (lca_cfg, alpha)
             raise ConfigError("stop after the configs")
 

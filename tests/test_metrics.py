@@ -247,6 +247,34 @@ class TestBenchmark:
         assert summary["summaries"][0]["dictionary"] == "base"
 
 
+class TestMapStacks:
+    def test_one_kernel_per_call_built_before_the_map(self, rng, monkeypatch):
+        """map_stacks builds gram_kernel(d) once, at the caller's BLAS thread
+        count rather than pmap's one thread, and hands it to every stack
+        right after d."""
+        from chirpcode._parallel import openblas_threads_function
+
+        get_threads = openblas_threads_function("get") or (lambda: None)
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = TestCorpusStacks()._signals(d, [3, 5, 3])
+        kernels, threads = [], []
+
+        def spying(dd, original=metrics.gram_kernel):
+            threads.append(get_threads())
+            kernels.append(original(dd))
+            return kernels[-1]
+
+        def fn(ids, stack_signals, dd, kernel, extra):
+            return [(uid, dd, kernel, extra) for uid in ids]
+
+        monkeypatch.setattr(metrics, "gram_kernel", spying)
+        results = metrics.map_stacks(fn, ["a", "b", "c"], signals, d, 1, "x")
+        assert threads == [get_threads()]
+        assert [uid for uid, *_ in results] == ["a", "b", "c"]
+        assert all(dd is d and kernel is kernels[0] and extra == "x"
+                   for _, dd, kernel, extra in results)
+
+
 class TestCorpusStacks:
     def _signals(self, d, frames):
         return [np.zeros((t - 1) * d.stride + d.filter_len) for t in frames]

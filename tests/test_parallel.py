@@ -47,7 +47,13 @@ class TestWorkers:
             pmap(math.sqrt, [(-1.0,)], 1)
         assert get_threads() == before
 
-    def test_pmap_outside_a_block_opens_and_closes_its_own_pool(self):
+    def test_pmap_outside_a_block_runs_in_this_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pmap started a pool outside a workers block")
+
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        states = pmap(_worker_state, [(0,), (1,), (2,)], 2)
+        assert [pid for pid, _ in states] == [os.getpid()] * 3
         assert pmap(math.sqrt, [(4.0,), (9.0,)], 2) == [2.0, 3.0]
         assert multiprocessing.active_children() == []
         assert _parallel._open_pool.get() is None
