@@ -440,9 +440,6 @@ def adapt_corpus(
             f"frequency upper bound {f_max} Hz must lie below "
             f"Nyquist ({nyquist} Hz) in alca-cf mode"
         )
-    corpus = list(corpus)
-    if not corpus:
-        raise ConfigError("corpus is empty")
     ids, signals = corpus_signals(corpus, d0.sample_rate)
 
     rng = np.random.default_rng(adapt_cfg.seed)
@@ -452,9 +449,9 @@ def adapt_corpus(
     step_index = 0
 
     # A pool larger than a mini-batch would only hold idle workers.
-    with workers(min(jobs, adapt_cfg.batch_size, len(corpus))):
+    with workers(min(jobs, adapt_cfg.batch_size, len(ids))):
         for epoch in range(adapt_cfg.epochs):
-            order = rng.permutation(len(corpus))
+            order = rng.permutation(len(ids))
             energies, snrs, actives = [], [], []
             for start in range(0, len(order), adapt_cfg.batch_size):
                 batch = order[start : start + adapt_cfg.batch_size]

@@ -28,7 +28,7 @@ from .adapt import (
     default_bounds,
     write_history_csv,
 )
-from .audio import load_corpus, load_wav, save_wav
+from .audio import CorpusManifest, ManifestEntry, load_corpus, parse_manifest, save_wav
 from .dictionary import (
     init_gammatone_dictionary,
     load_dictionary,
@@ -36,7 +36,6 @@ from .dictionary import (
     save_dictionary,
 )
 from .errors import (
-    AudioIngestError,
     ChirpcodeError,
     CodeError,
     ConfigError,
@@ -75,6 +74,8 @@ def _read_config_file(path) -> dict:
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     if "lambda" in payload:
+        if "lam" in payload:
+            raise ConfigError(f"config file {path} sets both 'lam' and 'lambda'")
         payload["lam"] = payload.pop("lambda")
     return payload
 
@@ -130,28 +131,12 @@ def _jobs(args) -> int:
     return args.jobs
 
 
-def _gather_utterances(args, d):
-    """Collect utterances from --manifest and/or positional WAV paths."""
-    utterances = []
-    if getattr(args, "manifest", None):
-        utterances.extend(
-            load_corpus(args.manifest, d.sample_rate, normalize=args.normalize)
-        )
-    for wav in getattr(args, "wavs", []) or []:
-        utt = load_wav(wav, normalize=args.normalize)
-        if utt.sample_rate != d.sample_rate:
-            raise AudioIngestError(
-                f"{wav}: sample rate {utt.sample_rate} does not match "
-                f"dictionary rate {d.sample_rate}"
-            )
-        utterances.append(utt)
-    ids = [u.id for u in utterances]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise AudioIngestError(f"duplicate utterance ids: {dupes}")
-    if not utterances:
-        raise ConfigError("no input utterances (give WAV paths or --manifest)")
-    return utterances
+def _gather_utterances(manifest, wavs, sample_rate, normalize):
+    """The utterances of a manifest, then of WAV paths named by their stems,
+    loaded by load_corpus as one corpus at ``sample_rate``."""
+    entries = parse_manifest(manifest, sample_rate).entries if manifest else ()
+    entries += tuple(ManifestEntry(Path(w), Path(w).stem, None) for w in wavs)
+    return load_corpus(CorpusManifest(entries, sample_rate), normalize=normalize)
 
 
 # ---------------------------------------------------------------- build-dict
@@ -185,12 +170,13 @@ def cmd_build_dict(args) -> int:
 def cmd_encode(args) -> int:
     # alpha is checked, and defaulted, as AdaptConfig.alpha
     lca_cfg, adapt_cfg = _configs(_settings(args, (*LCA_KEYS, "alpha")))
+    if not args.wavs and not args.manifest:
+        raise ConfigError("no input utterances (give WAV paths or --manifest)")
     d = load_dictionary(args.dict)
-    utterances = _gather_utterances(args, d)
+    utterances = _gather_utterances(args.manifest, args.wavs, d.sample_rate, args.normalize)
+    ids, signals = corpus_signals(utterances, d.sample_rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    ids, signals = corpus_signals(utterances, d.sample_rate)
     with workers(min(args.jobs, len(ids))):
         results = map_stacks(reports_and_codes, ids, signals, d, args.jobs,
                              lca_cfg, adapt_cfg.alpha)
@@ -228,17 +214,19 @@ def _code_stems(code_paths) -> list:
 def cmd_decode(args) -> int:
     stems = _code_stems(args.codes)
     d = load_dictionary(args.dict)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for code_path, stem in zip(args.codes, stems):
+    codes = []
+    for code_path in args.codes:
         code = load_code(code_path)
         if code.n_channels != d.n_channels:
             raise CodeError(
                 f"{code_path}: code has {code.n_channels} channels, "
                 f"dictionary has {d.n_channels}"
             )
-        samples = reconstruct(d, code)
-        save_wav(out_dir / f"{stem}.wav", samples, d.sample_rate)
+        codes.append(code)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for code, stem in zip(codes, stems):
+        save_wav(out_dir / f"{stem}.wav", reconstruct(d, code), d.sample_rate)
     print(f"decoded {len(args.codes)} code file(s) into {out_dir}")
     return 0
 
@@ -274,9 +262,7 @@ def cmd_adapt(args) -> int:
     d0 = load_dictionary(files["dict"])
     if raw_bounds is not None:
         adapt_cfg = replace(adapt_cfg, bounds=_bounds(raw_bounds, d0.sample_rate))
-    corpus = load_corpus(files["manifest"], d0.sample_rate, normalize=files["normalize"])
-    if not corpus:
-        raise ConfigError("corpus is empty; nothing to adapt")
+    corpus = _gather_utterances(files["manifest"], [], d0.sample_rate, files["normalize"])
     d, history = adapt_corpus(corpus, d0, lca_cfg, adapt_cfg, jobs=args.jobs)
     save_dictionary(d, files["out"])
     write_history_csv(history, files["history"])
@@ -315,9 +301,7 @@ def cmd_benchmark(args) -> int:
         named.append((name, load_dictionary(path)))
     if not named:
         raise ConfigError("at least one --dict NAME=PATH is required")
-    corpus = load_corpus(args.manifest, named[0][1].sample_rate, normalize=args.normalize)
-    if not corpus:
-        raise ConfigError("corpus is empty; nothing to benchmark")
+    corpus = _gather_utterances(args.manifest, [], named[0][1].sample_rate, args.normalize)
     report = benchmark(corpus, named, lca_cfg, jobs=args.jobs)
 
     prefix = args.out_prefix
@@ -340,10 +324,11 @@ def cmd_benchmark(args) -> int:
 
 def cmd_export_events(args) -> int:
     stems = _code_stems(args.codes)
+    codes = [load_code(code_path) for code_path in args.codes]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for code_path, stem in zip(args.codes, stems):
-        export_events_csv(load_code(code_path), out_dir / f"{stem}.events.csv")
+    for code, stem in zip(codes, stems):
+        export_events_csv(code, out_dir / f"{stem}.events.csv")
     print(f"exported {len(args.codes)} event stream(s) into {out_dir}")
     return 0
 

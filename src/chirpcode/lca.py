@@ -389,14 +389,6 @@ def encode_many(
 def energy(s: np.ndarray, code: SparseCode, d: Dictionary, lam: float, alpha: float = 1.0) -> float:
     """Adaptation objective: 1/2 ||recon - s||^2 + alpha * lam * sum|a|."""
     s = np.asarray(s, dtype=float)
-    if code.n_channels != d.n_channels:
-        raise CodeError(
-            f"code has {code.n_channels} channels, dictionary has {d.n_channels}"
-        )
-    if code.n_frames > 0:
-        span = (code.n_frames - 1) * d.stride + d.filter_len
-        if span > len(s):
-            raise SignalError(f"code spans {span} samples but signal has {len(s)}")
     recon = reconstruct(d, code, length=len(s))
     resid = recon - s
     return 0.5 * float(resid @ resid) + alpha * lam * float(np.sum(np.abs(code.values)))

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._parallel import pmap, workers
 from .dictionary import Dictionary, gram_kernel, n_frames, reconstruct
-from .errors import ChirpcodeError, ConfigError, SignalError
+from .errors import AudioIngestError, ChirpcodeError, ConfigError, SignalError
 from .lca import LcaConfig, SparseCode, encode_many
 
 # Cap on the elements of each (utterances, channels, frames) array of one
@@ -83,8 +83,10 @@ class BenchmarkReport:
 def corpus_signals(corpus, sample_rate):
     """(ids, float sample arrays) of a corpus of Utterances or bare arrays.
 
-    An item without an id is named by its position; a declared rate other
-    than ``sample_rate`` is a ConfigError.
+    An item without an id is named by its position. Every corpus path starts
+    here, so this is where a corpus is checked: an empty corpus or a declared
+    rate other than ``sample_rate`` is a ConfigError, and an id given twice an
+    AudioIngestError.
     """
     ids, signals = [], []
     for i, item in enumerate(corpus):
@@ -93,6 +95,11 @@ def corpus_signals(corpus, sample_rate):
         rate = getattr(item, "sample_rate", None)
         if rate is not None and int(rate) != int(sample_rate):
             raise ConfigError(f"utterance {ids[-1]!r} has rate {rate}, expected {sample_rate}")
+    if not ids:
+        raise ConfigError("corpus is empty")
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise AudioIngestError(f"duplicate utterance ids: {dupes}")
     return ids, signals
 
 

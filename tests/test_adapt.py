@@ -10,6 +10,7 @@ import pytest
 from chirpcode import (
     AdaptConfig,
     AdamaxState,
+    AudioIngestError,
     ConfigError,
     GradientError,
     LcaConfig,
@@ -17,6 +18,7 @@ from chirpcode import (
     ParamBounds,
     ParamGradients,
     SignalError,
+    Utterance,
     adamax_step,
     adapt_corpus,
     default_bounds,
@@ -655,6 +657,14 @@ class TestAdaptCorpus:
         with pytest.raises(ConfigError):
             adapt_corpus([], d0, self._lca(),
                          AdaptConfig(mode="alca", bounds=default_bounds(8000)))
+
+    def test_duplicate_ids_rejected(self, rng):
+        d0 = self._dict()
+        corpus = [Utterance(id=i, samples=s / max(1.0, np.max(np.abs(s))), sample_rate=8000)
+                  for i, s in zip("xyx", _tiny_corpus(rng, d0))]
+        with pytest.raises(AudioIngestError, match=r"^duplicate utterance ids: \['x'\]$"):
+            adapt_corpus(corpus, d0, self._lca(),
+                         AdaptConfig(mode="alca", epochs=1, bounds=default_bounds(8000)))
 
 
 class TestConfigValidation:

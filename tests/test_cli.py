@@ -333,6 +333,20 @@ class TestConfigPrecedence:
         assert code == 0, stderr
         assert out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["encode", "--dict", "missing.json", "--out-dir", "out"],
+        ["adapt", "--dict", "missing.json", "--manifest", "missing.csv", "--out", "a.json"],
+        ["benchmark", "--dict", "d=missing.json", "--manifest", "missing.csv"],
+    ], ids=["encode", "adapt", "benchmark"])
+    def test_lam_and_lambda_together_is_usage_error(self, capsys, monkeypatch, tmp_path, command):
+        # The named files do not exist: the config file is checked before any input is read.
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({"lam": 0.5, "lambda": 0.05}))
+        code, _, stderr = _run(capsys, command + ["--config", "run.json", "--jobs", "1"])
+        assert code == 2
+        assert stderr == "error: config file run.json sets both 'lam' and 'lambda'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         dict_path = _build_small_dict(capsys, tmp_path)
         cfg = tmp_path / "bad.json"
@@ -382,6 +396,91 @@ class TestOneOutputPerInput:
         assert code == 2
         assert stderr == "error: dictionary name 'x' is given more than once\n"
         assert not list(tmp_path.glob("**/bench_*"))
+
+
+class TestInputsAreCheckedBeforeAnyOutput:
+    """Every command reads and checks all of its inputs before it writes, and
+    the corpus commands refuse the same corpora with the same errors."""
+
+    def _corpus_argv(self, capsys, tmp_path, command, manifest):
+        dict_path = str(_build_small_dict(capsys, tmp_path))
+        argv = {
+            "encode": ["encode", "--dict", dict_path, "--out-dir", str(tmp_path / "codes")],
+            "adapt": ["adapt", "--dict", dict_path, "--out", str(tmp_path / "a.json"),
+                      "--epochs", "1", "--max-iters", "20", "--tbptt-window", "5"],
+            "benchmark": ["benchmark", "--dict", f"x={dict_path}",
+                          "--out-prefix", str(tmp_path / "bench_")],
+        }[command]
+        return argv + ["--manifest", str(manifest), "--jobs", "1"]
+
+    @pytest.mark.parametrize("command", ["encode", "adapt", "benchmark"])
+    def test_an_id_given_twice(self, capsys, tmp_path, command):
+        manifest = _make_corpus(tmp_path)
+        manifest.write_text("path,id,label\nc0.wav,c0,\nc1.wav,x,\nc2.wav,x,\n")
+        argv = self._corpus_argv(capsys, tmp_path, command, manifest)
+        before = set(tmp_path.iterdir())
+        code, _, stderr = _run(capsys, argv)
+        assert code == 1
+        assert stderr == "error: duplicate utterance ids: ['x']\n"
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["encode", "adapt", "benchmark"])
+    def test_an_empty_corpus(self, capsys, tmp_path, command):
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("path,id,label\n")
+        argv = self._corpus_argv(capsys, tmp_path, command, manifest)
+        before = set(tmp_path.iterdir())
+        code, _, stderr = _run(capsys, argv)
+        assert code == 2
+        assert stderr.endswith("error: corpus is empty\n")
+        assert set(tmp_path.iterdir()) == before
+
+    def test_encode_without_inputs_is_a_usage_error(self, capsys, tmp_path):
+        dict_path = _build_small_dict(capsys, tmp_path)
+        code, _, stderr = _run(capsys, ["encode", "--dict", str(dict_path),
+                                        "--out-dir", str(tmp_path / "codes"), "--jobs", "1"])
+        assert code == 2
+        assert stderr == "error: no input utterances (give WAV paths or --manifest)\n"
+        assert not (tmp_path / "codes").exists()
+
+    @pytest.mark.parametrize("wavs, message", [
+        (["nosuch.wav", "c0.wav"], "missing corpus files: nosuch.wav"),
+        (["c0.wav", "fast.wav"], "sample rate mismatch against declared 8000 Hz: fast.wav (16000 Hz)"),
+    ], ids=["missing", "rate"])
+    def test_wav_paths_are_checked_as_a_manifest_is(
+            self, capsys, monkeypatch, tmp_path, wavs, message):
+        monkeypatch.chdir(tmp_path)
+        dict_path = _build_small_dict(capsys, tmp_path)
+        _make_corpus(tmp_path, n=1)
+        save_wav(tmp_path / "fast.wav", np.zeros(1000, dtype=np.float32), 16000)
+        code, _, stderr = _run(capsys, ["encode", *wavs, "--dict", str(dict_path),
+                                        "--out-dir", "codes", "--jobs", "1"])
+        assert code == 1
+        assert stderr == f"error: {message}\n"
+        assert not (tmp_path / "codes").exists()
+
+    @pytest.mark.parametrize("command", ["decode", "export-events"])
+    def test_a_later_code_file_fails(self, capsys, tmp_path, command):
+        from chirpcode import SparseCode, save_code
+
+        dict_path = _build_small_dict(capsys, tmp_path)
+        good, bad = tmp_path / "u0.code.json", tmp_path / "u1.code.json"
+        dense = np.zeros((16, 3))
+        dense[2, 1] = 0.5
+        save_code(SparseCode.from_dense(dense, lam=0.1), good)
+        if command == "decode":
+            save_code(SparseCode.from_dense(dense[:8], lam=0.1), bad)
+            message = f"error: {bad}: code has 8 channels, dictionary has 16\n"
+        else:
+            bad.write_text("{")
+            message = f"error: cannot read code file {bad}: "
+        argv = [command, str(good), str(bad), "--out-dir", str(tmp_path / "out")]
+        if command == "decode":
+            argv += ["--dict", str(dict_path)]
+        code, _, stderr = _run(capsys, argv)
+        assert code == 1
+        assert stderr.startswith(message)
+        assert not (tmp_path / "out").exists()
 
 
 class TestExportEvents:

@@ -372,6 +372,14 @@ class TestEnergy:
             alpha * lam * 1.1, rel=1e-9
         )
 
+    def test_code_that_does_not_fit_rejected(self, rng):
+        d = random_toy_dictionary(rng)
+        with pytest.raises(CodeError):
+            energy(np.zeros(64), SparseCode.from_dense(np.zeros((4, 4)), lam=0.1), d, 0.1)
+        # four frames span 3 * 8 + 16 = 40 samples
+        with pytest.raises(SignalError):
+            energy(np.zeros(39), SparseCode.from_dense(np.zeros((3, 4)), lam=0.1), d, 0.1)
+
     def test_two_atom_grid_search(self, rng):
         """The energy surface over a 2-D coefficient grid matches a brute-force
         oracle pointwise, and both locate the same grid minimizer."""

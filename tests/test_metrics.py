@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpcode import (
+    AudioIngestError,
     ConfigError,
     LcaConfig,
     SignalError,
@@ -220,6 +221,15 @@ class TestBenchmark:
         d2 = random_toy_dictionary(rng, n_channels=4, filter_len=16, stride=8)
         with pytest.raises(ConfigError):
             benchmark(_corpus_for(d1, rng), [("a", d1), ("b", d2)], LcaConfig(lam=0.03))
+
+    def test_empty_corpus_and_an_id_given_twice_rejected(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        corpus = _corpus_for(d, rng)
+        corpus[2] = Utterance(id="utt0", samples=corpus[2].samples, sample_rate=d.sample_rate)
+        with pytest.raises(AudioIngestError, match=r"^duplicate utterance ids: \['utt0'\]$"):
+            benchmark(corpus, [("base", d)], LcaConfig(lam=0.03))
+        with pytest.raises(ConfigError, match="^corpus is empty$"):
+            benchmark([], [("base", d)], LcaConfig(lam=0.03))
 
     def test_writers_produce_parseable_files(self, rng, tmp_path):
         d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
