@@ -3,10 +3,14 @@
 ``workers(jobs)`` is the one place that starts worker processes: a corpus
 call opens one pool for its whole run, every ``pmap`` inside the block
 reuses it, and ``pmap`` outside a block runs in this process. Each worker
-runs BLAS on one thread, so ``jobs`` workers keep ``jobs`` CPUs busy. Items
-that ``pmap`` runs in this process run at one BLAS thread too: OpenBLAS
-splits a large product differently over two threads than over one, so the
-rounding, and with it every output, would otherwise depend on ``jobs``.
+runs BLAS on one thread, so ``jobs`` workers keep ``jobs`` CPUs busy. The
+products a corpus call runs in this process, the items ``pmap`` runs here
+and the kernel ``metrics.map_stacks`` builds, run inside
+``blas_on_one_thread`` too, for two reasons. OpenBLAS splits a large product
+differently over two threads than over one, so the rounding, and with it
+every output, would otherwise depend on ``jobs`` and on the caller's thread
+count. And after a product that woke its second thread, that thread
+busy-waits for about 0.1 s before it sleeps, on a CPU the workers need.
 """
 
 from __future__ import annotations
@@ -86,8 +90,11 @@ def _one_blas_thread():
 
 
 @contextlib.contextmanager
-def _blas_on_one_thread():
-    """Run the block with BLAS on one thread, then restore the previous count."""
+def blas_on_one_thread():
+    """Run the block with BLAS on one thread, then restore the previous count.
+
+    Without OpenBLAS's thread functions the block runs as it is.
+    """
     get_threads = openblas_threads_function("get")
     set_threads = openblas_threads_function("set")
     if get_threads is None or set_threads is None:
@@ -133,6 +140,6 @@ def pmap(fn, items, jobs: int):
     """
     items = list(items)
     if _open_pool.get() is None or jobs <= 1 or len(items) <= 1:
-        with _blas_on_one_thread():
+        with blas_on_one_thread():
             return [fn(*args) for args in items]
     return list(_open_pool.get().map(fn, *zip(*items)))

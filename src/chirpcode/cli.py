@@ -5,7 +5,8 @@ Option precedence is flags > --config file > defaults. Only the values a
 flag or the file set are forwarded: ``LcaConfig`` and ``AdaptConfig`` hold
 the other defaults and check every value. ``--config`` is taken by the
 commands that read settings, ``--jobs`` by those that start workers. Exit
-codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+codes: 0 success, 1 runtime failure (an ``OSError`` included), 2 usage or
+configuration error, such as an output directory that does not exist.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
 from .lca import LcaConfig, config_value, export_events_csv, load_code, save_code
 from .metrics import (
     benchmark,
+    check_dictionaries,
     corpus_signals,
     map_stacks,
     raise_first_failure,
@@ -131,6 +133,19 @@ def _jobs(args) -> int:
     return args.jobs
 
 
+def _check_parent_dir(path, made=None) -> None:
+    """Refuse an output path whose directory does not exist, before any work.
+
+    ``made`` is a directory the command creates (with its parents) before it
+    writes ``path``, so ``path`` may lie in it or in one of its ancestors.
+    """
+    parent = Path(path).parent
+    if made is not None and parent.resolve() in (made.resolve(), *made.resolve().parents):
+        return
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {path}: directory {parent} does not exist")
+
+
 def _gather_utterances(manifest, wavs, sample_rate, normalize):
     """The utterances of a manifest, then of WAV paths named by their stems,
     loaded by load_corpus as one corpus at ``sample_rate``."""
@@ -152,6 +167,7 @@ def cmd_build_dict(args) -> int:
     out = settings.pop("out", None)
     if not out:
         raise ConfigError("--out is required")
+    _check_parent_dir(out)
     cfg = {**BUILD_DEFAULTS,
            **{key: config_value(key, value, BUILD_TYPES[key]) for key, value in settings.items()}}
     f_min, f_max = default_bounds(cfg["sr"]).f
@@ -172,10 +188,12 @@ def cmd_encode(args) -> int:
     lca_cfg, adapt_cfg = _configs(_settings(args, (*LCA_KEYS, "alpha")))
     if not args.wavs and not args.manifest:
         raise ConfigError("no input utterances (give WAV paths or --manifest)")
+    out_dir = Path(args.out_dir)
+    if args.report:
+        _check_parent_dir(args.report, made=out_dir)
     d = load_dictionary(args.dict)
     utterances = _gather_utterances(args.manifest, args.wavs, d.sample_rate, args.normalize)
     ids, signals = corpus_signals(utterances, d.sample_rate)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with workers(min(args.jobs, len(ids))):
         results = map_stacks(reports_and_codes, ids, signals, d, args.jobs,
@@ -262,6 +280,8 @@ def cmd_adapt(args) -> int:
     d0 = load_dictionary(files["dict"])
     if raw_bounds is not None:
         adapt_cfg = replace(adapt_cfg, bounds=_bounds(raw_bounds, d0.sample_rate))
+    _check_parent_dir(files["out"])
+    _check_parent_dir(files["history"])
     corpus = _gather_utterances(files["manifest"], [], d0.sample_rate, files["normalize"])
     d, history = adapt_corpus(corpus, d0, lca_cfg, adapt_cfg, jobs=args.jobs)
     save_dictionary(d, files["out"])
@@ -301,6 +321,8 @@ def cmd_benchmark(args) -> int:
         named.append((name, load_dictionary(path)))
     if not named:
         raise ConfigError("at least one --dict NAME=PATH is required")
+    check_dictionaries(named)
+    _check_parent_dir(f"{args.out_prefix}report.csv")
     corpus = _gather_utterances(args.manifest, [], named[0][1].sample_rate, args.normalize)
     report = benchmark(corpus, named, lca_cfg, jobs=args.jobs)
 
@@ -425,7 +447,7 @@ def main(argv=None) -> int:
         if "jobs" in vars(args):
             args.jobs = _jobs(args)
         return args.func(args)
-    except ChirpcodeError as exc:
+    except (ChirpcodeError, OSError) as exc:
         exit_code = (
             USAGE_EXIT
             if isinstance(exc, (ConfigError, ParameterError))

@@ -262,18 +262,14 @@ def apply_kernel(kernel: GramKernel, a: np.ndarray) -> np.ndarray:
     ``a`` is (n, T) or a stack (B, n, T). Frames outside [0, T) contribute
     nothing. The kernel is symmetric (K[i, j, d] = K[j, i, -d]) so this
     operator is self-adjoint. Each stack item is its own product with the
-    shape of a single (n, T) call, so it is bit-identical to that call.
+    shape of a single (n, T) call, so it is bit-identical to that call. The
+    sum starts from the lag-0 product and adds lags -1, 1, -2, 2, ...
     """
     t_frames = a.shape[-1]
-    out = np.zeros_like(a)
-    for lag in range(-kernel.max_lag, kernel.max_lag + 1):
-        if abs(lag) >= t_frames:
-            continue
-        k_lag = kernel.at_lag(lag)
-        if lag >= 0:
-            out[..., : t_frames - lag] += np.matmul(k_lag, a[..., lag:])
-        else:
-            out[..., -lag:] += np.matmul(k_lag, a[..., : t_frames + lag])
+    out = np.matmul(kernel.at_lag(0), a)
+    for lag in range(1, min(kernel.max_lag, t_frames - 1) + 1):
+        out[..., lag:] += np.matmul(kernel.at_lag(-lag), a[..., : t_frames - lag])
+        out[..., : t_frames - lag] += np.matmul(kernel.at_lag(lag), a[..., lag:])
     return out
 
 

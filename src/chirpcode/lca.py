@@ -259,21 +259,21 @@ def _trace_energies(stack: LcaState, drive: np.ndarray, solves, unit_cost: float
 
     Unit-norm atoms make the synthesis Gram operator a -> a + K a, so
     1/2 ||s - recon||^2 = 1/2 ||s||^2 - <a, drive> + 1/2 <a, a + K a>. Each
-    item's sum is the expression a lone solve evaluates, on that item's
-    views, so it has the same bits. Overflow is left to the caller's
-    finiteness test, which reports divergence as a SolverError. Being a
-    function of its own, it leaves no reference to this step's arrays behind
-    for the next ``lca_step``.
+    item's sum is the expression a lone solve evaluates: the (B, 1, N) @
+    (B, N, 1) products make numpy call, per item, the BLAS dot that
+    ``np.vdot`` calls on that item, so each has the same bits. Overflow is
+    left to the caller's finiteness test, which reports divergence as a
+    SolverError. Being a function of its own, it leaves no reference to this
+    step's arrays behind for the next ``lca_step``.
     """
-    a = stack.a
+    rows = stack.a.reshape(len(solves), 1, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = a + stack.inhibition
-    out = []
-    for j, solve in enumerate(solves):
-        count = np.count_nonzero(a[j])
-        out.append((solve.trace[0] - float(np.vdot(a[j], drive[j]))
-                    + 0.5 * float(np.vdot(a[j], gram[j])) + unit_cost * count, count))
-    return out
+        gram = stack.a + stack.inhibition
+        a_drive = np.matmul(rows, drive.reshape(len(solves), -1, 1))[:, 0, 0]
+        a_gram = np.matmul(rows, gram.reshape(len(solves), -1, 1))[:, 0, 0]
+    counts = np.count_nonzero(rows[:, 0], axis=1).tolist()
+    return [(solve.trace[0] - float(x) + 0.5 * float(y) + unit_cost * count, count)
+            for solve, x, y, count in zip(solves, a_drive, a_gram, counts)]
 
 
 def _own(item: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import pmap, workers
+from ._parallel import blas_on_one_thread, pmap, workers
 from .dictionary import Dictionary, gram_kernel, n_frames, reconstruct
 from .errors import AudioIngestError, ChirpcodeError, ConfigError, SignalError
 from .lca import LcaConfig, SparseCode, encode_many
@@ -166,10 +166,13 @@ def map_stacks(fn, ids, signals, d, jobs, *args, trace_window=0):
     """Run ``fn(stack_ids, stack_signals, d, kernel, *args)`` on each stack of
     ``corpus_stacks(signals, d, jobs, trace_window)``, over the open ``workers``
     pool if any; results come back in corpus order. ``kernel = gram_kernel(d)``
-    is built once, here in the calling process: its last bits depend on the
-    BLAS thread count, so not in a worker or in ``pmap``'s one-thread block.
+    is built once, here in the calling process, at one BLAS thread like every
+    other product of the call, so its bits depend neither on ``jobs`` nor on
+    the caller's thread count, and no BLAS thread of the caller spins while
+    the workers compute.
     """
-    kernel = gram_kernel(d)
+    with blas_on_one_thread():
+        kernel = gram_kernel(d)
     stacks = corpus_stacks(signals, d, jobs, trace_window)
     tasks = [([ids[i] for i in stack], [signals[i] for i in stack], d, kernel, *args)
              for stack in stacks]
@@ -187,13 +190,9 @@ def raise_first_failure(ids, results) -> None:
             raise type(result)(f"utterance {uid!r}: {result}") from result
 
 
-def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> BenchmarkReport:
-    """Encode a corpus under each named dictionary and aggregate SNR/sparsity.
-
-    ``dictionaries`` is a list of (name, Dictionary) pairs sharing geometry and
-    sample rate, under distinct names. Per-utterance failures are recorded and
-    the report is marked partial instead of aborting the run.
-    """
+def check_dictionaries(dictionaries) -> list:
+    """The (name, Dictionary) pairs as a list, once checked: there is at least
+    one, no name is given twice, and all share geometry and sample rate."""
     dictionaries = list(dictionaries)
     if not dictionaries:
         raise ConfigError("no dictionaries to benchmark")
@@ -206,7 +205,18 @@ def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> Benchm
             ref.filter_len, ref.stride, ref.sample_rate,
         ):
             raise ConfigError(f"dictionary {name!r} has mismatched geometry or rate")
-    ids, signals = corpus_signals(corpus, ref.sample_rate)
+    return dictionaries
+
+
+def benchmark(corpus, dictionaries, lca_cfg: LcaConfig, jobs: int = 1) -> BenchmarkReport:
+    """Encode a corpus under each named dictionary and aggregate SNR/sparsity.
+
+    ``dictionaries`` is a list of (name, Dictionary) pairs that
+    ``check_dictionaries`` accepts. Per-utterance failures are recorded and
+    the report is marked partial instead of aborting the run.
+    """
+    dictionaries = check_dictionaries(dictionaries)
+    ids, signals = corpus_signals(corpus, dictionaries[0][1].sample_rate)
 
     rows, failures = [], []
     summaries = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chirpcode import init_gammatone_dictionary, make_dictionary
+from chirpcode import default_bounds, gram_kernel, init_gammatone_dictionary, make_dictionary
 
 
 def random_toy_dictionary(rng, n_channels=3, filter_len=16, stride=8, sample_rate=8000):
@@ -29,6 +29,27 @@ def sparse_recovery_instance():
     for ch, t, coeff in placements:
         s[t * d.stride : t * d.stride + d.filter_len] += coeff * d.atoms[ch]
     return d, s, lam, placements
+
+
+def sparse_activations(rng, shape):
+    """Activations shaped like an LCA iterate's: about a quarter of the units
+    active, and the first frame silent, as is the first item of a stack of
+    several."""
+    a = rng.standard_normal(shape)
+    a[np.abs(a) < 1.15] = 0.0
+    a[..., 0] = 0.0
+    if len(shape) == 3 and shape[0] > 1:
+        a[0] = 0.0
+    return a
+
+
+@pytest.fixture(scope="session", params=[64, 700], ids=lambda n: f"{n}ch")
+def bank_16k(request):
+    """(dictionary, Gram kernel) of the 16 kHz Gammatone bank, filter 256 and
+    stride 128, at 64 or 700 channels. OpenBLAS rounds the 700-channel
+    products differently over one and two threads."""
+    d = init_gammatone_dictionary(request.param, *default_bounds(16000).f, 256, 128, 16000)
+    return d, gram_kernel(d)
 
 
 @pytest.fixture

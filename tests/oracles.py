@@ -68,6 +68,33 @@ def dense_gram(phi):
     return g - np.eye(g.shape[0])
 
 
+def lag_loop_apply_kernel(kernel, a):
+    """apply_kernel as a zero-filled output that each lag's product is added
+    into, from lag -max_lag up."""
+    t_frames = a.shape[-1]
+    out = np.zeros_like(a)
+    for lag in range(-kernel.max_lag, kernel.max_lag + 1):
+        if abs(lag) >= t_frames:
+            continue
+        k_lag = kernel.lags[kernel.max_lag + lag]
+        if lag >= 0:
+            out[..., : t_frames - lag] += np.matmul(k_lag, a[..., lag:])
+        else:
+            out[..., -lag:] += np.matmul(k_lag, a[..., : t_frames + lag])
+    return out
+
+
+def vdot_trace_energies(a, inhibition, drive, trace0s, unit_cost):
+    """Each (n, T) item's trace energy and active count, one np.vdot per
+    inner product: e0 - <a, drive> + 1/2 <a, a + K a> + unit_cost * count."""
+    out = []
+    for a_j, k_j, drive_j, e0 in zip(a, inhibition, drive, trace0s):
+        count = np.count_nonzero(a_j)
+        out.append((e0 - float(np.vdot(a_j, drive_j))
+                    + 0.5 * float(np.vdot(a_j, a_j + k_j)) + unit_cost * count, count))
+    return out
+
+
 def dense_frozen_energy(atoms, stride, s, masks, lam, eta, alpha):
     """Energy after running the Euler iteration with per-iteration frozen masks.
 

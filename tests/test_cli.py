@@ -483,6 +483,67 @@ class TestInputsAreCheckedBeforeAnyOutput:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutputPathsAreCheckedBeforeAnySolve:
+    """An output whose directory does not exist is refused before any corpus
+    is solved or any file written; other OSErrors are runtime errors."""
+
+    def _argv(self, capsys, tmp_path, command, output):
+        dict_path = str(_build_small_dict(capsys, tmp_path))
+        manifest = str(_make_corpus(tmp_path, n=2))
+        argv, path = {
+            "build-dict --out": (["build-dict", "--channels", "8", "--sr", "8000"], "--out"),
+            "encode --report": (["encode", "--manifest", manifest, "--dict", dict_path,
+                                 "--out-dir", str(tmp_path / "codes")], "--report"),
+            "benchmark --out-prefix": (["benchmark", "--manifest", manifest,
+                                        "--dict", f"x={dict_path}"], "--out-prefix"),
+            "adapt --out": (["adapt", "--manifest", manifest, "--dict", dict_path,
+                             "--epochs", "1", "--max-iters", "20"], "--out"),
+            "adapt --history": (["adapt", "--manifest", manifest, "--dict", dict_path,
+                                 "--epochs", "1", "--max-iters", "20",
+                                 "--out", str(tmp_path / "a.json")], "--history"),
+        }[command]
+        return argv + [path, output] + ["--jobs", "1"] * (argv[0] != "build-dict")
+
+    @pytest.mark.parametrize("command", [
+        "build-dict --out", "encode --report", "benchmark --out-prefix", "adapt --out",
+        "adapt --history",
+    ])
+    def test_missing_directory_is_a_usage_error(self, capsys, monkeypatch, tmp_path, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the output paths")
+
+        for module, name in ((cli, "map_stacks"), (metrics, "map_stacks"),
+                             (cli, "adapt_corpus")):
+            monkeypatch.setattr(module, name, no_solve)
+        output = tmp_path / "nodir" / "out"
+        argv = self._argv(capsys, tmp_path, command, str(output))
+        before = set(tmp_path.iterdir())
+        code, _, stderr = _run(capsys, argv)
+        assert code == 2
+        if command == "benchmark --out-prefix":
+            output = Path(f"{output}report.csv")
+        assert stderr == f"error: cannot write {output}: directory {output.parent} does not exist\n"
+        assert set(tmp_path.iterdir()) == before
+
+    def test_report_may_go_into_the_out_dir_encode_makes(self, capsys, tmp_path):
+        argv = self._argv(capsys, tmp_path, "encode --report", str(tmp_path / "codes" / "r.csv"))
+        code, _, stderr = _run(capsys, argv + ["--lambda", "0.02"])
+        assert code == 0, stderr
+        assert (tmp_path / "codes" / "r.csv").is_file()
+
+    @pytest.mark.parametrize("json_errors", [False, True])
+    def test_other_os_errors_are_runtime_errors(self, capsys, tmp_path, json_errors):
+        (tmp_path / "codes").write_text("a file where --out-dir wants a directory")
+        argv = self._argv(capsys, tmp_path, "encode --report", str(tmp_path / "r.csv"))
+        code, _, stderr = _run(capsys, argv + ["--json-errors"] * json_errors)
+        assert code == 1
+        if json_errors:
+            assert json.loads(stderr)["error"] == "FileExistsError"
+        else:
+            assert stderr.startswith("error: [Errno 17] File exists: ")
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestExportEvents:
     def test_empty_code_gives_header_only(self, capsys, tmp_path):
         from chirpcode import SparseCode, save_code

@@ -27,13 +27,14 @@ from chirpcode import (
 )
 from chirpcode.dictionary import gammachirp_parts, n_frames, overlap_add, signal_windows
 
-from conftest import random_toy_dictionary
+from conftest import random_toy_dictionary, sparse_activations
 from oracles import (
     dense_gram,
     dense_matrix,
     dense_project,
     dense_reconstruct,
     independent_atom,
+    lag_loop_apply_kernel,
     loop_overlap_add,
 )
 
@@ -283,6 +284,18 @@ class TestGramKernel:
         assert stacked.shape == a.shape
         for item, out in zip(a, stacked):
             assert np.array_equal(out, apply_kernel(k, item))
+
+    @pytest.mark.parametrize("t_frames", [1, 2, 30])
+    @pytest.mark.parametrize("stack", [(), (1,), (20,)], ids=["2-D", "one-item", "20-item"])
+    def test_apply_kernel_sums_as_the_zero_filled_lag_loop(self, rng, bank_16k, stack, t_frames):
+        """At max_lag 1, starting from the lag-0 product keeps every bit of
+        the loop from lag -1 up into zeros, the signs of zeros included."""
+        d, k = bank_16k
+        a = sparse_activations(rng, (*stack, d.n_channels, t_frames))
+        out, expected = apply_kernel(k, a), lag_loop_apply_kernel(k, a)
+        assert k.max_lag == 1
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 class TestOverlapAdd:

@@ -26,10 +26,10 @@ from chirpcode import (
     threshold,
     trace_energy,
 )
-from chirpcode.lca import LcaState
+from chirpcode.lca import LcaState, _Solve, _trace_energies
 
-from conftest import random_toy_dictionary, sparse_recovery_instance
-from oracles import grid_search_energy_2atom
+from conftest import random_toy_dictionary, sparse_activations, sparse_recovery_instance
+from oracles import grid_search_energy_2atom, vdot_trace_energies
 
 
 class TestThreshold:
@@ -267,6 +267,26 @@ def _assert_same_solve(got, want):
 
 
 class TestEncodeMany:
+    @pytest.mark.parametrize("items", [1, 20])
+    def test_trace_energies_are_the_per_item_vdots(self, rng, bank_16k, items):
+        """The batched inner products give each item the bits of its own
+        np.vdot expression; the silent first item of 20 counts 0."""
+        d, k = bank_16k
+        a = sparse_activations(rng, (items, d.n_channels, 30))
+        drive = rng.standard_normal(a.shape)
+        stack = LcaState(v=drive.copy(), a=a, inhibition=apply_kernel(k, a), lam=0.1, eta=0.01)
+        solves = [_Solve(index=j, trace=[e0], silent=False)
+                  for j, e0 in enumerate(rng.uniform(1.0, 10.0, items).tolist())]
+        got = _trace_energies(stack, drive, solves, 0.005)
+        expected = vdot_trace_energies(a, stack.inhibition, drive, [s.trace[0] for s in solves],
+                                       0.005)
+        energies, counts = (np.array(x) for x in zip(*got))
+        want_energies, want_counts = (np.array(x) for x in zip(*expected))
+        assert np.array_equal(energies, want_energies)
+        assert np.array_equal(np.signbit(energies), np.signbit(want_energies))
+        assert np.array_equal(counts, want_counts)
+        assert counts.max() > 0 and (items == 1 or counts[0] == 0)
+
     def test_matches_per_utterance_encode(self, rng):
         """Items that stop at different iterations leave the stack one by
         one; every code, iteration count, trace and history is the one a

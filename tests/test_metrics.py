@@ -259,12 +259,13 @@ class TestBenchmark:
 
 class TestMapStacks:
     def test_one_kernel_per_call_built_before_the_map(self, rng, monkeypatch):
-        """map_stacks builds gram_kernel(d) once, at the caller's BLAS thread
-        count rather than pmap's one thread, and hands it to every stack
-        right after d."""
+        """map_stacks builds gram_kernel(d) once, at one BLAS thread, restores
+        the caller's thread count, and hands the kernel to every stack right
+        after d."""
         from chirpcode._parallel import openblas_threads_function
 
         get_threads = openblas_threads_function("get") or (lambda: None)
+        before = get_threads()
         d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
         signals = TestCorpusStacks()._signals(d, [3, 5, 3])
         kernels, threads = [], []
@@ -279,10 +280,37 @@ class TestMapStacks:
 
         monkeypatch.setattr(metrics, "gram_kernel", spying)
         results = metrics.map_stacks(fn, ["a", "b", "c"], signals, d, 1, "x")
-        assert threads == [get_threads()]
+        assert threads == [None if before is None else 1]
+        assert get_threads() == before
         assert [uid for uid, *_ in results] == ["a", "b", "c"]
         assert all(dd is d and kernel is kernels[0] and extra == "x"
                    for _, dd, kernel, extra in results)
+
+    def test_kernel_bits_do_not_depend_on_the_callers_blas_threads(self):
+        """On a 700-channel 16 kHz bank, where a product split over two
+        OpenBLAS threads rounds differently from one, the kernel map_stacks
+        hands to fn is the same with the caller at one and at two threads."""
+        from chirpcode import default_bounds, init_gammatone_dictionary
+        from chirpcode._parallel import openblas_threads_function
+
+        get_threads = openblas_threads_function("get")
+        set_threads = openblas_threads_function("set")
+        if get_threads is None or set_threads is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count function")
+        d = init_gammatone_dictionary(700, *default_bounds(16000).f, 256, 128, 16000)
+
+        def fn(ids, stack_signals, dd, kernel):
+            return [kernel.lags for _ in ids]
+
+        before = get_threads()
+        lags = []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                lags += metrics.map_stacks(fn, ["u"], [np.zeros(4000)], d, 1)
+        finally:
+            set_threads(before)
+        assert np.array_equal(lags[0], lags[1])
 
 
 class TestCorpusStacks:
