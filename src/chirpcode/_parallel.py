@@ -5,7 +5,7 @@ call opens one pool for its whole run, every ``pmap`` inside the block
 reuses it, and ``pmap`` outside a block runs in this process. Each worker
 runs BLAS on one thread, so ``jobs`` workers keep ``jobs`` CPUs busy. The
 products a corpus call runs in this process, the items ``pmap`` runs here
-and the kernel ``metrics.map_stacks`` builds, run inside
+and each dictionary's ``Dictionary.kernel``, run inside
 ``blas_on_one_thread`` too, for two reasons. OpenBLAS splits a large product
 differently over two threads than over one, so the rounding, and with it
 every output, would otherwise depend on ``jobs`` and on the caller's thread

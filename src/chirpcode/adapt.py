@@ -46,7 +46,6 @@ from .dictionary import (
     erb,
     erb_slope,
     gammachirp_parts,
-    gram_kernel,
     make_dictionary,
     n_frames,
     overlap_add,
@@ -309,7 +308,8 @@ def energy_gradient(
     ``lca_trace`` must come from ``encode`` on the same signal and dictionary,
     with iteration recording enabled (``trace_window``) when the sparsity term
     is active. The reverse pass unrolls at most ``config.tbptt_window``
-    iterations; a shorter recorded trace is used in full.
+    iterations; a shorter recorded trace is used in full. It inhibits through
+    ``d.kernel``; the ``kernel`` keyword is as for ``lca.encode_many``.
     """
     s = np.asarray(s, dtype=float)
     atoms = d.atoms
@@ -337,9 +337,8 @@ def energy_gradient(
             )
         hist = list(lca_trace.a_history)
         steps = min(config.tbptt_window, len(hist) - 1)
-        if kernel is None:
-            kernel = gram_kernel(d)
-        live, gbar_rows, q = _reverse_pass(a_final, hist[-1 - steps : -1], kernel, weight, eta)
+        live, gbar_rows, q = _reverse_pass(a_final, hist[-1 - steps : -1], kernel or d.kernel,
+                                           weight, eta)
         windows = signal_windows(s, d.filter_len, d.stride)
         g_atoms[live] = (g_atoms[live] + eta * (gbar_rows @ windows)
                          - eta * _contract_lags(q, atoms[live], d.stride))
@@ -402,17 +401,16 @@ class EpochStats:
     mean_active_count: float
 
 
-def _adapt_stack(ids, signals, d, kernel, lca_cfg, adapt_cfg):
+def _adapt_stack(ids, signals, d, lca_cfg, adapt_cfg):
     # (report, gradients) or the ChirpcodeError of each utterance of a stack,
     # returned, not raised, so the caller names the first failure in batch order.
-    graded = encode_and_grade(ids, signals, d, kernel, lca_cfg, adapt_cfg.alpha,
-                              adapt_cfg.tbptt_window)
+    graded = encode_and_grade(ids, signals, d, lca_cfg, adapt_cfg.alpha, adapt_cfg.tbptt_window)
     out = []
     for signal, result in zip(signals, graded):
         if not isinstance(result, ChirpcodeError):
             report, _, state = result
             try:
-                result = report, energy_gradient(signal, d, state, adapt_cfg, kernel=kernel)
+                result = report, energy_gradient(signal, d, state, adapt_cfg)
             except ChirpcodeError as exc:
                 result = exc
         out.append(result)
@@ -427,8 +425,9 @@ def adapt_corpus(
     Each epoch shuffles the corpus (seeded), walks it in mini-batches, averages
     the per-utterance gradients over each batch, applies one Adamax step, and
     re-synthesizes the atoms. A batch is solved in stacks by ``map_stacks``,
-    which builds the batch's inhibition kernel, and ``jobs`` > 1 spreads the
-    stacks over one pool of workers open for the whole run. Per-epoch
+    which builds ``d.kernel`` of the dictionary it steps from, once per step,
+    and ``jobs`` > 1 spreads the stacks over one pool of workers open for the
+    whole run. ``d0`` keeps its kernel cached after the call. Per-epoch
     statistics are the means over that epoch's encodes. The optimizer step
     stays a serial barrier, the gradient mean keeps batch order, and the
     first failure in batch order is raised, named by its utterance.

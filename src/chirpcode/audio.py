@@ -9,7 +9,6 @@ dictionary's filters mean.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,8 +16,6 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import AudioIngestError
-
-log = logging.getLogger(__name__)
 
 INT16_SCALE = 32768.0
 
@@ -121,7 +118,7 @@ def parse_manifest(path, sample_rate: int) -> CorpusManifest:
             except StopIteration:
                 raise AudioIngestError(f"{path}: manifest is missing its header row") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise AudioIngestError(f"{path}: cannot read manifest ({exc})") from exc
     header = [h.strip().lower() for h in header]
     if header[:2] != ["path", "id"]:
@@ -143,8 +140,6 @@ def parse_manifest(path, sample_rate: int) -> CorpusManifest:
         utt_id = row[1].strip() if len(row) > 1 and row[1].strip() else file_path.stem
         label = row[2].strip() if len(row) > 2 and row[2].strip() else None
         entries.append(ManifestEntry(path=file_path, id=utt_id, label=label))
-    if not entries:
-        log.warning("manifest %s lists no files; corpus is empty", path)
     return CorpusManifest(entries=tuple(entries), sample_rate=int(sample_rate))
 
 

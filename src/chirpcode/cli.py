@@ -71,7 +71,7 @@ def _read_config_file(path) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

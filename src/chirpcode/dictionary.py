@@ -10,11 +10,13 @@ dynamics use for lateral inhibition.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._parallel import blas_on_one_thread
 from .errors import CodeError, ConfigError, ParameterError, SignalError, SynthesisError
 
 # Glasberg-Moore linear ERB map: erb(f) = ERB_OFFSET * (ERB_SLOPE * f + 1)
@@ -84,6 +86,15 @@ def gammachirp_parts(f, b, c, l, filter_len: int, sample_rate: float):
     return g, env, phase, t
 
 
+def _read_only_state(self, state: dict) -> None:
+    """Unpickle a frozen record with its arrays read-only again; numpy
+    unpickles every array writable."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    self.__dict__.update(state)
+
+
 @dataclass(frozen=True, eq=False)
 class Dictionary:
     """Immutable strided Gammachirp dictionary with cached unit-norm atoms.
@@ -93,6 +104,10 @@ class Dictionary:
     the chirp parameter and the Gamma envelope order (see GammachirpParams).
     Build one with ``make_dictionary``. Dictionaries compare by identity;
     compare their arrays with ``np.array_equal``.
+
+    ``kernel``, the lateral-inhibition kernel ``gram_kernel(self)``, is built
+    on first use at one BLAS thread and kept: the arrays cannot change, so it
+    cannot go stale. A pickled dictionary carries it and unpickles read-only.
     """
 
     f: np.ndarray = field(repr=False)
@@ -103,6 +118,14 @@ class Dictionary:
     stride: int
     sample_rate: int
     atoms: np.ndarray = field(repr=False)
+
+    __setstate__ = _read_only_state
+
+    @functools.cached_property
+    def kernel(self) -> GramKernel:
+        """``gram_kernel(self)``, built once at one BLAS thread (see above)."""
+        with blas_on_one_thread():
+            return gram_kernel(self)
 
     @property
     def channels(self) -> tuple:
@@ -222,11 +245,14 @@ class GramKernel:
     with max_lag 1.
 
     ``entries`` is the same memory seen as (n, n, 2*max_lag + 1), indexed
-    ``entries[i, j, max_lag + d]``.
+    ``entries[i, j, max_lag + d]``. A dictionary's own kernel is
+    ``Dictionary.kernel``; a pickled kernel unpickles read-only too.
     """
 
     lags: np.ndarray = field(repr=False)
     max_lag: int
+
+    __setstate__ = _read_only_state
 
     @property
     def entries(self) -> np.ndarray:
@@ -371,7 +397,7 @@ def load_dictionary(path) -> Dictionary:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read dictionary file {path}: {exc}") from exc
     try:
         params = {name: [float(ch[name]) for ch in payload["channels"]] for name in "fbcl"}

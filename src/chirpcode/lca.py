@@ -38,7 +38,6 @@ from .dictionary import (
     Dictionary,
     GramKernel,
     apply_kernel,
-    gram_kernel,
     overlap_add,
     project,
     reconstruct,
@@ -235,7 +234,7 @@ def encode(
     """Run the LCA dynamics on one signal: ``encode_many`` on a stack of one.
 
     Returns (SparseCode, LcaState) and raises the ChirpcodeError the solve
-    failed with.
+    failed with. ``kernel`` is as for ``encode_many``.
     """
     (result,) = encode_many([s], d, config, kernel=kernel, trace_window=trace_window)
     if isinstance(result, ChirpcodeError):
@@ -309,6 +308,9 @@ def encode_many(
     LcaState) or the ChirpcodeError it failed with: a SignalError for a
     signal too short or not finite, a SolverError when its energy stops being
     finite. Valid signals of different frame counts raise SignalError.
+
+    The solve inhibits through ``d.kernel``; ``kernel`` remains only for
+    callers that still build and pass their own (the benchmark harness).
     """
     results = [None] * len(signals)
     solves, drives = [], []
@@ -329,8 +331,7 @@ def encode_many(
     frame_counts = sorted({x.shape[1] for x in drives})
     if len(frame_counts) > 1:
         raise SignalError(f"a stacked solve needs one frame count, got {frame_counts}")
-    if kernel is None:
-        kernel = gram_kernel(d)
+    kernel = kernel or d.kernel
     drive = np.stack(drives)
     del drives
 
@@ -427,7 +428,7 @@ def load_code(path) -> SparseCode:
             frames=np.array(fr, dtype=np.int64),
             values=np.array(val, dtype=float),
         )
-    except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise CodeError(f"cannot read code file {path}: {exc}") from exc
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import blas_on_one_thread, pmap, workers
-from .dictionary import Dictionary, gram_kernel, n_frames, reconstruct
+from ._parallel import pmap, workers
+from .dictionary import Dictionary, n_frames, reconstruct
 from .errors import AudioIngestError, ChirpcodeError, ConfigError, SignalError
 from .lca import LcaConfig, SparseCode, encode_many
 
@@ -103,14 +103,14 @@ def corpus_signals(corpus, sample_rate):
     return ids, signals
 
 
-def encode_and_grade(ids, signals, d, kernel, lca_cfg, alpha=1.0, trace_window=0):
+def encode_and_grade(ids, signals, d, lca_cfg, alpha=1.0, trace_window=0):
     """Encode a stack of utterances that share a frame count, then grade each:
     one residual per utterance gives its SNR and the ``lca.energy`` objective
     at weight ``alpha``. Returns, in input order, (report, code, state) for
     each utterance or the ChirpcodeError it failed with.
     """
     signals = [np.asarray(s, dtype=float) for s in signals]
-    solved = encode_many(signals, d, lca_cfg, kernel=kernel, trace_window=trace_window)
+    solved = encode_many(signals, d, lca_cfg, trace_window=trace_window)
     graded = []
     for utt_id, samples, result in zip(ids, signals, solved):
         if isinstance(result, ChirpcodeError):
@@ -163,18 +163,16 @@ def reports_and_codes(*args):
 
 
 def map_stacks(fn, ids, signals, d, jobs, *args, trace_window=0):
-    """Run ``fn(stack_ids, stack_signals, d, kernel, *args)`` on each stack of
+    """Run ``fn(stack_ids, stack_signals, d, *args)`` on each stack of
     ``corpus_stacks(signals, d, jobs, trace_window)``, over the open ``workers``
-    pool if any; results come back in corpus order. ``kernel = gram_kernel(d)``
-    is built once, here in the calling process, at one BLAS thread like every
-    other product of the call, so its bits depend neither on ``jobs`` nor on
-    the caller's thread count, and no BLAS thread of the caller spins while
-    the workers compute.
+    pool if any; results come back in corpus order. ``d.kernel`` is built
+    first, here in the calling process and at one BLAS thread, so the workers
+    receive it with ``d`` and build none, and no BLAS thread of the caller
+    spins while they compute.
     """
-    with blas_on_one_thread():
-        kernel = gram_kernel(d)
+    d.kernel  # built here, before the pool, so that d carries it to the workers
     stacks = corpus_stacks(signals, d, jobs, trace_window)
-    tasks = [([ids[i] for i in stack], [signals[i] for i in stack], d, kernel, *args)
+    tasks = [([ids[i] for i in stack], [signals[i] for i in stack], d, *args)
              for stack in stacks]
     results = [None] * len(ids)
     for stack, out in zip(stacks, pmap(fn, tasks, jobs)):

@@ -3,8 +3,11 @@
 import json
 import math
 import multiprocessing
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -481,6 +484,77 @@ class TestInputsAreCheckedBeforeAnyOutput:
         assert code == 1
         assert stderr.startswith(message)
         assert not (tmp_path / "out").exists()
+
+
+class TestMalformedInputFiles:
+    """A file reader turns malformed or non-UTF-8 input into its own error:
+    exit 2 for a dictionary or config file, 1 for a code file or manifest."""
+
+    NOT_UTF8 = b'{"\xff": 1}\n'
+
+    def _files(self, capsys, tmp_path):
+        from chirpcode import SparseCode, save_code
+
+        dict_path = _build_small_dict(capsys, tmp_path)
+        code_path = tmp_path / "u0.code.json"
+        dense = np.zeros((16, 3))
+        dense[2, 1] = 0.5
+        save_code(SparseCode.from_dense(dense, lam=0.1), code_path)
+        return dict_path, code_path, _make_corpus(tmp_path, n=1)
+
+    @pytest.mark.parametrize("command, broken, exit_code", [
+        ("decode", "n_channels", 1),
+        ("export-events", "event_value", 1),
+        ("decode", "code_bytes", 1),
+        ("decode", "dict_bytes", 2),
+        ("benchmark", "manifest_bytes", 1),
+        ("benchmark", "config_bytes", 2),
+    ])
+    def test_error_line_not_traceback(self, capsys, tmp_path, command, broken, exit_code):
+        dict_path, code_path, manifest = self._files(capsys, tmp_path)
+        payload = json.loads(code_path.read_text())
+        if broken == "n_channels":
+            payload["n_channels"] = "abc"
+            code_path.write_text(json.dumps(payload))
+        elif broken == "event_value":
+            payload["events"][0][2] = "x"
+            code_path.write_text(json.dumps(payload))
+        else:
+            victim = {"code": code_path, "dict": dict_path, "manifest": manifest,
+                      "config": tmp_path / "config.json"}[broken.split("_")[0]]
+            victim.write_bytes(self.NOT_UTF8)
+        out = ["--out-dir", str(tmp_path / "out")]
+        argv = {
+            "decode": ["decode", str(code_path), "--dict", str(dict_path), *out],
+            "export-events": ["export-events", str(code_path), *out],
+            "benchmark": ["benchmark", "--dict", f"x={dict_path}", "--manifest", str(manifest),
+                          "--out-prefix", str(tmp_path / "bench_"), "--jobs", "1"],
+        }[command]
+        if broken == "config_bytes":
+            argv += ["--config", str(tmp_path / "config.json")]
+        code, _, stderr = _run(capsys, argv)
+        assert code == exit_code
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_manifest_with_json_errors_is_one_json_line(self, capsys, tmp_path):
+        """The whole of stderr, from a separate process: the JSON error and
+        nothing logged before it."""
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("path,id,label\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "chirpcode", "benchmark", "--dict", f"x={dict_path}",
+             "--manifest", str(manifest), "--out-prefix", str(tmp_path / "bench_"),
+             "--jobs", "1", "--json-errors"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ConfigError", "message": "corpus is empty"}
 
 
 class TestOutputPathsAreCheckedBeforeAnySolve:

@@ -1,7 +1,9 @@
 """Dictionary module: ERB map, atom synthesis, strided operators, Gram kernel."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from chirpcode import (
     reconstruct,
     save_dictionary,
 )
+from chirpcode._parallel import blas_on_one_thread
 from chirpcode.dictionary import gammachirp_parts, n_frames, overlap_add, signal_windows
 
 from conftest import random_toy_dictionary, sparse_activations
@@ -296,6 +299,46 @@ class TestGramKernel:
         assert k.max_lag == 1
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+class TestDictionaryKernel:
+    def test_built_on_first_use_then_cached(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=8)
+        assert "kernel" not in vars(d)
+        assert d.kernel is d.kernel
+
+    def test_bits_are_gram_kernel_at_one_blas_thread(self, bank_16k):
+        """Whatever the caller's thread count, on the 64- and 700-channel banks."""
+        d, _ = bank_16k
+        with blas_on_one_thread():
+            want = gram_kernel(d)
+        got = dataclasses.replace(d).kernel
+        assert got.max_lag == want.max_lag
+        assert np.array_equal(got.lags, want.lags)
+        assert not got.lags.flags.writeable
+
+    def test_replace_gives_a_fresh_kernel(self, rng):
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=8)
+        kernel = d.kernel
+        wider = dataclasses.replace(d, stride=16)
+        assert "kernel" not in vars(wider)
+        assert wider.kernel is not kernel
+        assert (kernel.max_lag, wider.kernel.max_lag) == (3, 1)
+        assert np.array_equal(wider.kernel.lags, gram_kernel(wider).lags)
+
+    def test_pickles_with_its_kernel_and_read_only_arrays(self, rng):
+        """numpy unpickles arrays writable; a Dictionary and a GramKernel
+        make theirs read-only again, and the cached kernel travels along."""
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=8)
+        d.kernel
+        d2, k2 = pickle.loads(pickle.dumps((d, gram_kernel(d))))
+        assert "kernel" in vars(d2)
+        for arr in (d2.f, d2.b, d2.c, d2.l, d2.atoms, d2.kernel.lags, k2.lags, k2.entries):
+            assert not arr.flags.writeable
+        assert np.array_equal(d2.atoms, d.atoms)
+        assert np.array_equal(d2.kernel.lags, d.kernel.lags)
+        with pytest.raises(ValueError):
+            d2.f[0] = 1.0
 
 
 class TestOverlapAdd:

@@ -26,6 +26,7 @@ from chirpcode import (
     threshold,
     trace_energy,
 )
+from chirpcode._parallel import blas_on_one_thread
 from chirpcode.lca import LcaState, _Solve, _trace_energies
 
 from conftest import random_toy_dictionary, sparse_activations, sparse_recovery_instance
@@ -286,6 +287,18 @@ class TestEncodeMany:
         assert np.array_equal(np.signbit(energies), np.signbit(want_energies))
         assert np.array_equal(counts, want_counts)
         assert counts.max() > 0 and (items == 1 or counts[0] == 0)
+
+    def test_default_kernel_is_the_dictionarys(self, rng):
+        """Without ``kernel=``, a solve inhibits through d.kernel: at one BLAS
+        thread it is bit for bit the solve on gram_kernel(d)."""
+        d = random_toy_dictionary(rng, n_channels=6, filter_len=32, stride=16)
+        s = rng.standard_normal(160)
+        cfg = LcaConfig(lam=0.08, eta=0.1, max_iters=200)
+        with blas_on_one_thread():
+            given = encode(s, d, cfg, kernel=gram_kernel(d), trace_window=7)
+            default = encode(s, d, cfg, trace_window=7)
+        _assert_same_solve(default, given)
+        assert "kernel" in vars(d)
 
     def test_matches_per_utterance_encode(self, rng):
         """Items that stop at different iterations leave the stack one by

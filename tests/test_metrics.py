@@ -1,9 +1,11 @@
 """SNR, sparsity, and benchmark aggregation."""
 
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from chirpcode import (
     snr,
     sparsity,
 )
-from chirpcode import metrics
+from chirpcode import dictionary, metrics
+from chirpcode._parallel import workers
 from chirpcode.metrics import (
     corpus_stacks,
     write_report_csv,
@@ -257,11 +260,20 @@ class TestBenchmark:
         assert summary["summaries"][0]["dictionary"] == "base"
 
 
+def _dictionary_as_received(ids, stack_signals, d):
+    """What a stack's fn sees of ``d``: its process, whether the kernel came
+    cached, and whether the parameter, atom and kernel arrays are writable."""
+    arrays = [d.f, d.b, d.c, d.l, d.atoms]
+    writable = [a.flags.writeable for a in arrays]
+    cached = "kernel" in vars(d)
+    return [(os.getpid(), cached, writable, d.kernel.lags.flags.writeable) for _ in ids]
+
+
 class TestMapStacks:
     def test_one_kernel_per_call_built_before_the_map(self, rng, monkeypatch):
-        """map_stacks builds gram_kernel(d) once, at one BLAS thread, restores
-        the caller's thread count, and hands the kernel to every stack right
-        after d."""
+        """map_stacks builds d.kernel once, at one BLAS thread, before any
+        stack runs, and restores the caller's thread count. Every stack gets
+        d with that kernel cached, right after its signals."""
         from chirpcode._parallel import openblas_threads_function
 
         get_threads = openblas_threads_function("get") or (lambda: None)
@@ -270,15 +282,15 @@ class TestMapStacks:
         signals = TestCorpusStacks()._signals(d, [3, 5, 3])
         kernels, threads = [], []
 
-        def spying(dd, original=metrics.gram_kernel):
+        def spying(dd, original=dictionary.gram_kernel):
             threads.append(get_threads())
             kernels.append(original(dd))
             return kernels[-1]
 
-        def fn(ids, stack_signals, dd, kernel, extra):
-            return [(uid, dd, kernel, extra) for uid in ids]
+        def fn(ids, stack_signals, dd, extra):
+            return [(uid, dd, vars(dd).get("kernel"), extra) for uid in ids]
 
-        monkeypatch.setattr(metrics, "gram_kernel", spying)
+        monkeypatch.setattr(dictionary, "gram_kernel", spying)
         results = metrics.map_stacks(fn, ["a", "b", "c"], signals, d, 1, "x")
         assert threads == [None if before is None else 1]
         assert get_threads() == before
@@ -288,7 +300,7 @@ class TestMapStacks:
 
     def test_kernel_bits_do_not_depend_on_the_callers_blas_threads(self):
         """On a 700-channel 16 kHz bank, where a product split over two
-        OpenBLAS threads rounds differently from one, the kernel map_stacks
+        OpenBLAS threads rounds differently from one, the d.kernel map_stacks
         hands to fn is the same with the caller at one and at two threads."""
         from chirpcode import default_bounds, init_gammatone_dictionary
         from chirpcode._parallel import openblas_threads_function
@@ -299,18 +311,31 @@ class TestMapStacks:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count function")
         d = init_gammatone_dictionary(700, *default_bounds(16000).f, 256, 128, 16000)
 
-        def fn(ids, stack_signals, dd, kernel):
-            return [kernel.lags for _ in ids]
+        def fn(ids, stack_signals, dd):
+            return [dd.kernel.lags for _ in ids]
 
         before = get_threads()
         lags = []
         try:
             for threads in (1, 2):
                 set_threads(threads)
-                lags += metrics.map_stacks(fn, ["u"], [np.zeros(4000)], d, 1)
+                # A new dictionary each time, so each builds its own kernel.
+                fresh = dataclasses.replace(d)
+                lags += metrics.map_stacks(fn, ["u"], [np.zeros(4000)], fresh, 1)
         finally:
             set_threads(before)
         assert np.array_equal(lags[0], lags[1])
+
+    def test_workers_receive_the_kernel_with_read_only_arrays(self, rng):
+        """Pool workers unpickle d with its kernel already built, and with
+        every array of both read-only, as in the calling process."""
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = TestCorpusStacks()._signals(d, [3] * 4)
+        with workers(2):
+            results = metrics.map_stacks(_dictionary_as_received, list("abcd"), signals, d, 2)
+        assert os.getpid() not in {pid for pid, *_ in results}
+        assert all(cached and not any(writable) and not lags_writable
+                   for _, cached, writable, lags_writable in results)
 
 
 class TestCorpusStacks:
