@@ -30,7 +30,6 @@ from .audio import (
 )
 from .dictionary import (
     Dictionary,
-    GammachirpParams,
     GramKernel,
     apply_kernel,
     erb,

@@ -51,8 +51,8 @@ from .dictionary import (
     overlap_add,
     signal_windows,
 )
-from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError
-from .lca import LcaConfig, LcaState, check_field_types, config_value
+from .errors import ChirpcodeError, ConfigError, GradientError, OptimizerError, config_value
+from .lca import LcaConfig, LcaState, check_field_types
 from .metrics import corpus_signals, encode_and_grade, map_stacks, raise_first_failure
 
 MODE_ALCA = "alca"

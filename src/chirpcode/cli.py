@@ -41,8 +41,9 @@ from .errors import (
     CodeError,
     ConfigError,
     ParameterError,
+    config_value,
 )
-from .lca import LcaConfig, config_value, export_events_csv, load_code, save_code
+from .lca import LcaConfig, export_events_csv, load_code, save_code
 from .metrics import (
     benchmark,
     check_dictionaries,
@@ -94,6 +95,10 @@ def _settings(args, keys) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    for key in ("dict", "manifest", "out", "history"):
+        value = settings.get(key)
+        if value is not None and not (isinstance(value, str) and value):
+            raise ConfigError(f"{key} must be a non-empty path string, got {value!r}")
     return settings
 
 
@@ -267,12 +272,9 @@ def cmd_adapt(args) -> int:
     raw_bounds = settings.pop("bounds", None)
     lca_cfg, adapt_cfg = _configs(settings)
     files = {key: settings.get(key, default) for key, default in ADAPT_FILES.items()}
-    for key in ("dict", "manifest", "out", "history"):
-        value = files[key]
-        if key != "history" and value in (None, ""):
+    for key in ("dict", "manifest", "out"):
+        if files[key] is None:
             raise ConfigError(f"--{key} is required (flag or config file)")
-        if value is not None and not (isinstance(value, str) and value):
-            raise ConfigError(f"{key} must be a non-empty path string, got {value!r}")
     if files["history"] is None:
         files["history"] = files["out"] + ".history.csv"
     if not isinstance(files["normalize"], bool):
@@ -287,11 +289,12 @@ def cmd_adapt(args) -> int:
     save_dictionary(d, files["out"])
     write_history_csv(history, files["history"])
 
-    config = {k: v for k, v in asdict(adapt_cfg).items() if k != "bounds"}
+    # The bounds the run clamped to, so that the sidecar's config replays the run
+    bounds = asdict(adapt_cfg.bounds or default_bounds(d0.sample_rate))
     sidecar = {
         "command": "adapt",
         "completed_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": {**config, **files, **asdict(lca_cfg)},
+        "config": {**asdict(adapt_cfg), "bounds": bounds, **files, **asdict(lca_cfg)},
     }
     with open(files["out"] + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=1)

@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import blas_on_one_thread
-from .errors import CodeError, ConfigError, ParameterError, SignalError, SynthesisError
+from .errors import (
+    CodeError,
+    ConfigError,
+    ParameterError,
+    SignalError,
+    SynthesisError,
+    config_value,
+    is_integer,
+)
 
 # Glasberg-Moore linear ERB map: erb(f) = ERB_OFFSET * (ERB_SLOPE * f + 1)
 ERB_OFFSET = 24.7
@@ -43,22 +51,6 @@ def erb(f):
 def erb_slope(f):
     """Derivative of erb() with respect to frequency (constant for the linear map)."""
     return ERB_OFFSET * ERB_SLOPE
-
-
-@dataclass(frozen=True)
-class GammachirpParams:
-    """One channel's Gammachirp parameters, as ``Dictionary.channels`` lists them.
-
-    f: centre frequency in Hz
-    b: envelope bandwidth scale (dimensionless)
-    c: chirp parameter; c = 0 gives a pure Gammatone
-    l: Gamma envelope order
-    """
-
-    f: float
-    b: float
-    c: float
-    l: float
 
 
 def _time_grid(filter_len: int, sample_rate: float) -> np.ndarray:
@@ -101,7 +93,8 @@ class Dictionary:
 
     ``f``, ``b``, ``c`` and ``l`` are read-only float arrays with one entry
     per channel: the centre frequency in Hz, the envelope bandwidth scale,
-    the chirp parameter and the Gamma envelope order (see GammachirpParams).
+    the chirp parameter and the Gamma envelope order. ``channels`` lists them
+    as the dictionary file does.
     Build one with ``make_dictionary``. Dictionaries compare by identity;
     compare their arrays with ``np.array_equal``.
 
@@ -128,11 +121,11 @@ class Dictionary:
             return gram_kernel(self)
 
     @property
-    def channels(self) -> tuple:
-        """The parameters as one GammachirpParams record per channel, built from the arrays."""
-        return tuple(
-            GammachirpParams(*map(float, row)) for row in zip(self.f, self.b, self.c, self.l)
-        )
+    def channels(self) -> list:
+        """The dictionary file's channel records, one ``{"f", "b", "c", "l"}`` dict
+        of floats per channel, built from the arrays."""
+        columns = (self.f.tolist(), self.b.tolist(), self.c.tolist(), self.l.tolist())
+        return [{"f": f, "b": b, "c": c, "l": l} for f, b, c, l in zip(*columns)]
 
     @property
     def n_channels(self) -> int:
@@ -170,13 +163,16 @@ def make_dictionary(f, b, c, l, filter_len: int, stride: int, sample_rate) -> Di
 
     ``f``, ``b``, ``c`` and ``l`` are equal-length 1-D sequences, one entry
     per channel. The dictionary holds read-only copies, so later changes to
-    the caller's arrays do not reach it.
+    the caller's arrays do not reach it. ``filter_len``, ``stride`` and
+    ``sample_rate`` must be integers (``is_integer``), so none is truncated.
     """
+    filter_len = config_value("filter_len", filter_len, int)
+    stride = config_value("stride", stride, int)
     if filter_len < 1:
         raise ConfigError(f"filter_len must be >= 1, got {filter_len}")
     if not 1 <= stride <= filter_len:
         raise ConfigError(f"stride must be in [1, filter_len], got {stride}")
-    if not (sample_rate > 0 and float(sample_rate).is_integer()):
+    if not (is_integer(sample_rate) and sample_rate > 0):
         raise ConfigError(f"sample_rate must be a positive whole number of Hz, got {sample_rate}")
     params = [np.array(x, dtype=float) for x in (f, b, c, l)]
     if any(p.ndim != 1 or p.shape != params[0].shape for p in params):
@@ -196,11 +192,7 @@ def make_dictionary(f, b, c, l, filter_len: int, stride: int, sample_rate) -> Di
     for arr in (*params, atoms):
         arr.setflags(write=False)
     return Dictionary(
-        *params,
-        filter_len=int(filter_len),
-        stride=int(stride),
-        sample_rate=int(sample_rate),
-        atoms=atoms,
+        *params, filter_len=filter_len, stride=stride, sample_rate=int(sample_rate), atoms=atoms
     )
 
 
@@ -382,10 +374,7 @@ def save_dictionary(d: Dictionary, path) -> None:
         "sample_rate": int(d.sample_rate),
         "filter_len": int(d.filter_len),
         "stride": int(d.stride),
-        "channels": [
-            {"f": f, "b": b, "c": c, "l": l}
-            for f, b, c, l in zip(d.f.tolist(), d.b.tolist(), d.c.tolist(), d.l.tolist())
-        ],
+        "channels": d.channels,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -402,10 +391,7 @@ def load_dictionary(path) -> Dictionary:
     try:
         params = {name: [float(ch[name]) for ch in payload["channels"]] for name in "fbcl"}
         return make_dictionary(
-            **params,
-            filter_len=int(payload["filter_len"]),
-            stride=int(payload["stride"]),
-            sample_rate=int(payload["sample_rate"]),
+            **params, **{key: payload[key] for key in ("filter_len", "stride", "sample_rate")}
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed dictionary file {path}: {exc}") from exc

@@ -1,8 +1,10 @@
-"""Exception hierarchy for chirpcode.
+"""Exception hierarchy for chirpcode, and the type rule its numbers share.
 
 Every failure raised by the library derives from ChirpcodeError so callers
 (and the CLI) can distinguish library failures from programming errors.
 """
+
+import numbers
 
 
 class ChirpcodeError(Exception):
@@ -43,3 +45,23 @@ class OptimizerError(ChirpcodeError):
 
 class AudioIngestError(ChirpcodeError):
     """A WAV file or corpus manifest could not be ingested."""
+
+
+def is_integer(value) -> bool:
+    """An integer, or a float with no fractional part; numpy scalars count,
+    bool and str do not."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
+
+
+def config_value(name: str, value, kind: type):
+    """``value`` as a Python ``kind``, float or int, or a ConfigError naming ``name``.
+
+    A float setting takes any real number and an int setting an integer
+    (``is_integer``); numpy scalars count, bool and str do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            kind is int and not is_integer(value)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -42,22 +41,15 @@ from .dictionary import (
     project,
     reconstruct,
 )
-from .errors import ChirpcodeError, CodeError, ConfigError, SignalError, SolverError
-
-
-def config_value(name: str, value, kind: type):
-    """``value`` as a Python ``kind``, float or int, or a ConfigError naming ``name``.
-
-    A float setting takes any real number and an int setting an integer (a
-    float with no fractional part counts); numpy scalars count, bool and str
-    do not.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or kind is int and not (isinstance(value, numbers.Integral)
-                                    or float(value).is_integer())):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
+from .errors import (
+    ChirpcodeError,
+    CodeError,
+    ConfigError,
+    SignalError,
+    SolverError,
+    config_value,
+    is_integer,
+)
 
 
 def check_field_types(config) -> None:
@@ -119,12 +111,33 @@ class LcaState:
     eta: float = 0.1
 
 
+def _event_indices(name: str, indices) -> np.ndarray:
+    """``indices`` as int64, or a CodeError for one that is not an integer.
+
+    An integer array, as ``np.nonzero`` gives, passes without a look at each
+    event; anything else is checked item by item before conversion, since
+    ``np.asarray([True, 2])`` is an integer array.
+    """
+    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+        return np.asarray(indices, dtype=np.int64)
+    items = np.asarray(indices, dtype=object)
+    for value in items.flat:
+        if not is_integer(value):
+            raise CodeError(f"{name} index must be an integer, got {value!r}")
+    try:
+        return items.astype(np.int64)
+    except OverflowError as exc:
+        raise CodeError(f"{name} index out of range: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SparseCode:
     """A code as a set of (channel, frame, value) events, value != 0.
 
     Events are kept sorted by (channel, frame); ``lam`` records the threshold
-    of the run that produced the code.
+    of the run that produced the code. Shape and indices must be integers
+    (``is_integer``: a float with no fractional part counts, bool and str do
+    not), so nothing is truncated.
     """
 
     n_channels: int
@@ -135,8 +148,13 @@ class SparseCode:
     values: np.ndarray
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.int64)
-        fr = np.asarray(self.frames, dtype=np.int64)
+        for name in ("n_channels", "n_frames"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise CodeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        ch = _event_indices("channel", self.channels)
+        fr = _event_indices("frame", self.frames)
         val = np.asarray(self.values, dtype=float)
         if not (ch.shape == fr.shape == val.shape and ch.ndim == 1):
             raise CodeError("channels, frames and values must be equal-length 1-D arrays")
@@ -417,18 +435,15 @@ def load_code(path) -> SparseCode:
         with open(path) as fh:
             payload = json.load(fh)
         events = payload["events"]
-        ch = [e[0] for e in events]
-        fr = [e[1] for e in events]
-        val = [e[2] for e in events]
         return SparseCode(
-            n_channels=int(payload["n_channels"]),
-            n_frames=int(payload["n_frames"]),
+            n_channels=payload["n_channels"],
+            n_frames=payload["n_frames"],
             lam=float(payload["lambda"]),
-            channels=np.array(ch, dtype=np.int64),
-            frames=np.array(fr, dtype=np.int64),
-            values=np.array(val, dtype=float),
+            channels=[e[0] for e in events],
+            frames=[e[1] for e in events],
+            values=[e[2] for e in events],
         )
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError, CodeError) as exc:
         raise CodeError(f"cannot read code file {path}: {exc}") from exc
 
 

@@ -8,15 +8,15 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chirpcode import (
-    AdaptConfig, ConfigError, LcaConfig, energy, load_code, load_dictionary, load_wav,
-    reconstruct, save_wav, snr,
+    AdaptConfig, ConfigError, LcaConfig, default_bounds, energy, load_code, load_dictionary,
+    load_wav, reconstruct, save_wav, snr,
 )
 from chirpcode import _parallel, cli, metrics
 from chirpcode.cli import main
@@ -538,6 +538,25 @@ class TestMalformedInputFiles:
         assert "Traceback" not in stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["decode", "export-events"])
+    @pytest.mark.parametrize("position", [0, 1], ids=["channel", "frame"])
+    @pytest.mark.parametrize("bad", [2.7, True, "2"])
+    def test_event_index_that_is_not_an_integer(self, capsys, tmp_path, command, position, bad):
+        """Loading the code refuses it, where a cast would truncate 2.7 to 2 and true to 1."""
+        dict_path, code_path, _ = self._files(capsys, tmp_path)
+        payload = json.loads(code_path.read_text())
+        payload["events"][0][position] = bad
+        code_path.write_text(json.dumps(payload))
+        argv = [command, str(code_path), "--out-dir", str(tmp_path / "out")]
+        if command == "decode":
+            argv += ["--dict", str(dict_path)]
+        code, _, stderr = _run(capsys, argv)
+        axis = ("channel", "frame")[position]
+        assert code == 1
+        assert stderr == (f"error: cannot read code file {code_path}: "
+                          f"{axis} index must be an integer, got {bad!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_manifest_with_json_errors_is_one_json_line(self, capsys, tmp_path):
         """The whole of stderr, from a separate process: the JSON error and
         nothing logged before it."""
@@ -723,6 +742,46 @@ class TestAdaptAndBenchmark:
         assert sidecar["config"]["history"] == f"{out}.history.csv"
         assert Path(sidecar["config"]["history"]).exists()
 
+    def test_sidecar_config_replays_the_run(self, capsys, tmp_path):
+        """The sidecar records the bounds the run clamped to, so feeding its
+        config back with new outputs gives the same dictionary and history."""
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path)
+        first = tmp_path / "first.json"
+        run_cfg = {"dict": str(dict_path), "manifest": str(manifest), "out": str(first),
+                   "mode": "alca-cf", "lr_cf": 50.0, "epochs": 2, "batch_size": 2,
+                   "lambda": 0.02, "max_iters": 60, "tbptt_window": 10,
+                   "bounds": {"f": [160.0, 3500.0]}}
+        (tmp_path / "run.json").write_text(json.dumps(run_cfg))
+        code, _, stderr = _run(capsys, ["adapt", "--config", str(tmp_path / "run.json"),
+                                        "--jobs", "1"])
+        assert code == 0, stderr
+        config = json.loads((tmp_path / "first.json.meta.json").read_text())["config"]
+        assert config["bounds"] == {"f": [160.0, 3500.0], "b": [0.2, 5.0],
+                                    "l": [1.5, 8.0], "c": [-5.0, 5.0]}
+        replay = tmp_path / "replay.json"
+        config.update(out=str(replay), history=str(tmp_path / "replay.csv"))
+        (tmp_path / "replay_run.json").write_text(json.dumps(config))
+        code, _, stderr = _run(capsys, ["adapt", "--config", str(tmp_path / "replay_run.json"),
+                                        "--jobs", "1"])
+        assert code == 0, stderr
+        assert replay.read_bytes() == first.read_bytes()
+        assert (tmp_path / "replay.csv").read_bytes() == (
+            tmp_path / "first.json.history.csv").read_bytes()
+        assert min(load_dictionary(first).f) == 160.0
+
+    def test_sidecar_records_the_default_bounds(self, capsys, tmp_path):
+        dict_path = _build_small_dict(capsys, tmp_path)
+        manifest = _make_corpus(tmp_path, n=1)
+        out = tmp_path / "a.json"
+        code, _, stderr = _run(capsys, [
+            "adapt", "--dict", str(dict_path), "--manifest", str(manifest), "--out", str(out),
+            "--epochs", "0", "--jobs", "1",
+        ])
+        assert code == 0, stderr
+        config = json.loads((tmp_path / "a.json.meta.json").read_text())["config"]
+        assert config["bounds"] == json.loads(json.dumps(asdict(default_bounds(8000))))
+
     @pytest.mark.parametrize("key, value", [
         ("dict", 7), ("manifest", 7), ("out", 7), ("history", 7),
         ("out", ["o.json"]), ("history", ""),
@@ -740,6 +799,19 @@ class TestAdaptAndBenchmark:
         code, _, stderr = _run(capsys, ["adapt", "--config", str(cfg), "--jobs", "1"])
         assert code == 2
         assert stderr == f"error: {key} must be a non-empty path string, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", [5, "", None])
+    def test_build_dict_out_that_is_not_a_string(self, capsys, tmp_path, value):
+        """Every command that reads --config applies the path rule, not only adapt."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"channels": 8, "sr": 8000, "out": value}))
+        before = set(tmp_path.iterdir())
+        code, _, stderr = _run(capsys, ["build-dict", "--config", str(cfg)])
+        assert code == 2
+        message = ("--out is required" if value is None
+                   else f"out must be a non-empty path string, got {value!r}")
+        assert stderr == f"error: {message}\n"
+        assert set(tmp_path.iterdir()) == before
 
     def test_adapt_requires_out(self, capsys, tmp_path):
         dict_path = _build_small_dict(capsys, tmp_path)

@@ -166,6 +166,27 @@ class TestMakeDictionary:
         np.testing.assert_array_equal(
             d.atoms, make_dictionary([1000.0], [1.0], [0.0], [4.0], 64, 32, 16000).atoms)
 
+    @pytest.mark.parametrize("geometry, message", [
+        ({"filter_len": 64.5}, "filter_len must be an integer, got 64.5"),
+        ({"filter_len": "64"}, "filter_len must be an integer, got '64'"),
+        ({"stride": 32.5}, "stride must be an integer, got 32.5"),
+        ({"stride": True}, "stride must be an integer, got True"),
+        ({"sample_rate": "8000"}, "sample_rate must be a positive whole number"),
+        ({"sample_rate": True}, "sample_rate must be a positive whole number"),
+    ])
+    def test_geometry_must_be_integers(self, geometry, message):
+        """A fractional filter_len would be stored truncated but synthesize
+        one sample more."""
+        args = {"filter_len": 64, "stride": 32, "sample_rate": 8000, **geometry}
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            make_dictionary([500.0], [1.0], [0.0], [4.0], **args)
+
+    def test_whole_float_and_numpy_geometry_accepted(self):
+        d = make_dictionary([500.0], [1.0], [0.0], [4.0], 64.0, np.int64(32), 8000)
+        assert (d.filter_len, d.stride) == (64, 32)
+        assert type(d.filter_len) is int and type(d.stride) is int
+        assert d.atoms.shape == (1, 64)
+
     def test_dictionaries_and_kernels_compare_by_identity(self):
         d1, d2 = (init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000) for _ in range(2))
         k1, k2 = gram_kernel(d1), gram_kernel(d1)
@@ -177,18 +198,18 @@ class TestMakeDictionary:
 class TestInitGammatone:
     def test_two_channels_hit_endpoints(self):
         d = init_gammatone_dictionary(2, 100.0, 400.0, 64, 32, 16000)
-        assert [p.f for p in d.channels] == pytest.approx([100.0, 400.0], rel=1e-12)
+        assert [p["f"] for p in d.channels] == pytest.approx([100.0, 400.0], rel=1e-12)
 
     def test_three_channels_geometric_middle(self):
         d = init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000)
-        assert d.channels[1].f == pytest.approx(200.0, rel=1e-12)
+        assert d.channels[1]["f"] == pytest.approx(200.0, rel=1e-12)
 
     def test_gammatone_parameters(self):
         d = init_gammatone_dictionary(5, 100.0, 3000.0, 64, 32, 16000)
         for p in d.channels:
-            assert p.c == 0.0
-            assert p.l == 4.0
-            assert p.b == pytest.approx(1.019)
+            assert p["c"] == 0.0
+            assert p["l"] == 4.0
+            assert p["b"] == pytest.approx(1.019)
 
     def test_full_scale_configuration(self):
         d = init_gammatone_dictionary(700, 20.0, 21600.0, 1024, 512, 48000)
@@ -507,6 +528,34 @@ class TestDictionaryFile:
         path = tmp_path / "dict.json"
         save_dictionary(init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000), path)
         assert path.read_text() == GOLDEN_DICTIONARY_JSON
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_rate", 16000.5, "sample_rate must be a positive whole number"),
+        ("filter_len", 64.9, "filter_len must be an integer, got 64.9"),
+        ("stride", "32", "stride must be an integer, got '32'"),
+    ])
+    def test_geometry_is_checked_not_cast(self, tmp_path, key, value, message):
+        payload = json.loads(GOLDEN_DICTIONARY_JSON)
+        payload[key] = value
+        path = tmp_path / "dict.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000),
+        lambda rng: random_toy_dictionary(rng, n_channels=5, filter_len=32, stride=8),
+    ], ids=["gammatone", "random"])
+    def test_channels_are_the_files_records(self, rng, tmp_path, make):
+        d = make(rng)
+        path = tmp_path / "dict.json"
+        save_dictionary(d, path)
+        channels = d.channels
+        assert channels == json.loads(path.read_text())["channels"]
+        assert [list(ch) for ch in channels] == [["f", "b", "c", "l"]] * d.n_channels
+        assert all(type(x) is float for ch in channels for x in ch.values())
+        for name in "fbcl":
+            np.testing.assert_array_equal([ch[name] for ch in channels], getattr(d, name))
 
     def test_bad_channel_rejected_and_named(self, tmp_path):
         payload = json.loads(GOLDEN_DICTIONARY_JSON)

@@ -1,5 +1,8 @@
 """LCA solver: threshold, dynamics, encode contracts, energies, code round trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -508,6 +511,58 @@ class TestSparseCodeIO:
                 channels=np.array([0]), frames=np.array([1]),
                 values=np.array([0.0]),
             )
+
+
+class TestSparseCodeIndices:
+    """The constructor is the one gate for event indices: nothing is truncated."""
+
+    @pytest.mark.parametrize("axis", ["channel", "frame"])
+    @pytest.mark.parametrize("bad", [2.7, True, "2", np.array([1.9]), np.array([True])],
+                             ids=["fraction", "bool", "str", "float_array", "bool_array"])
+    def test_index_that_is_not_an_integer_is_refused(self, axis, bad):
+        index = {"channel": [0], "frame": [0], axis: bad if isinstance(bad, np.ndarray) else [bad]}
+        with pytest.raises(CodeError, match=f"^{axis} index must be an integer"):
+            SparseCode(4, 3, 0.1, index["channel"], index["frame"], [0.5])
+
+    @pytest.mark.parametrize("field", ["n_channels", "n_frames"])
+    def test_shape_that_is_not_an_integer_is_refused(self, field):
+        shape = {"n_channels": 4, "n_frames": 3, field: 3.5}
+        with pytest.raises(CodeError, match=f"^{field} must be an integer, got 3.5"):
+            SparseCode(**shape, lam=0.1, channels=[0], frames=[0], values=[0.5])
+
+    def test_whole_floats_and_numpy_integers_are_accepted(self):
+        code = SparseCode(4.0, np.int64(3), 0.1, [2.0, np.int32(1)], np.array([1.0, 0.0]),
+                          [0.5, -0.5])
+        assert (code.n_channels, code.n_frames) == (4, 3)
+        assert type(code.n_channels) is int and type(code.n_frames) is int
+        assert code.channels.dtype == code.frames.dtype == np.int64
+        assert code.channels.tolist() == [1, 2] and code.frames.tolist() == [0, 1]
+
+    def test_index_beyond_int64_is_out_of_range(self):
+        with pytest.raises(CodeError, match="^channel index out of range"):
+            SparseCode(4, 3, 0.1, [2**70], [0], [0.5])
+
+    def test_integer_arrays_are_not_checked_event_by_event(self, monkeypatch, rng):
+        """Only n_channels and n_frames pass through is_integer for a solver's code."""
+        from chirpcode import lca
+
+        checked = []
+        monkeypatch.setattr(lca, "is_integer", lambda value: checked.append(value) or True)
+        a = np.where(rng.random((40, 50)) < 0.5, 1.0, 0.0)
+        code = SparseCode.from_dense(a, lam=0.1)
+        assert code.n_events > 100 and checked == [40, 50]
+        checked.clear()
+        code = SparseCode(4, 3, 0.1, np.array([2], np.int32), np.array([1], np.uint8), [0.5])
+        assert code.channels.dtype == code.frames.dtype == np.int64 and checked == [4, 3]
+
+    @pytest.mark.parametrize("event", [[2.7, 1, 0.5], [2, True, 0.5], ["2", 1, 0.5]])
+    def test_load_code_refuses_and_names_the_file(self, tmp_path, event):
+        path = tmp_path / "u.code.json"
+        path.write_text(json.dumps(
+            {"n_channels": 4, "n_frames": 3, "lambda": 0.1, "events": [event]}))
+        with pytest.raises(CodeError, match=f"^cannot read code file {re.escape(str(path))}: "
+                                            "(channel|frame) index must be an integer"):
+            load_code(path)
 
 
 class TestLcaConfigTypes:
