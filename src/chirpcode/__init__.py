@@ -20,7 +20,6 @@ from .adapt import (
     write_history_csv,
 )
 from .audio import (
-    CorpusManifest,
     ManifestEntry,
     Utterance,
     load_corpus,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -57,11 +58,13 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
 def openblas_threads_function(verb: str):
     """OpenBLAS's ``{verb}_num_threads`` function in the BLAS numpy loaded, or None.
 
     numpy links its BLAS into ``_multiarray_umath``; a symbol lookup on that
-    extension's handle also searches the libraries it depends on.
+    extension's handle also searches the libraries it depends on. Each verb
+    is looked up once, and its answer, None included, kept.
     """
     try:
         from numpy._core import _multiarray_umath as umath

@@ -52,12 +52,6 @@ class ManifestEntry:
     label: str | None
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
-    entries: tuple
-    sample_rate: int
-
-
 def load_wav(path, *, utt_id: str | None = None, label: str | None = None,
              normalize: bool = False) -> Utterance:
     """Decode one mono WAV file (PCM 16-bit or 32-bit float) into an Utterance.
@@ -105,11 +99,10 @@ def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
     wavfile.write(str(path), int(sample_rate), samples)
 
 
-def parse_manifest(path, sample_rate: int) -> CorpusManifest:
-    """Parse a ``path,id,label`` CSV manifest; relative paths resolve against it."""
+def parse_manifest(path) -> tuple:
+    """Parse a ``path,id,label`` CSV manifest into its ManifestEntry tuple;
+    relative paths resolve against it."""
     path = Path(path)
-    if sample_rate <= 0:
-        raise AudioIngestError(f"declared sample rate must be positive, got {sample_rate}")
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -140,36 +133,32 @@ def parse_manifest(path, sample_rate: int) -> CorpusManifest:
         utt_id = row[1].strip() if len(row) > 1 and row[1].strip() else file_path.stem
         label = row[2].strip() if len(row) > 2 and row[2].strip() else None
         entries.append(ManifestEntry(path=file_path, id=utt_id, label=label))
-    return CorpusManifest(entries=tuple(entries), sample_rate=int(sample_rate))
+    return tuple(entries)
 
 
-def load_corpus(manifest, sample_rate: int | None = None, *, normalize: bool = False):
-    """Load every manifest entry, enforcing the declared sample rate on each file.
+def load_corpus(entries, sample_rate: int, *, normalize: bool = False):
+    """Load ManifestEntry ``entries``, as ``parse_manifest`` gives them, enforcing
+    the declared sample rate on each file.
 
-    ``manifest`` is a CorpusManifest or a path (then ``sample_rate`` must be
-    given). Missing files are reported collectively; utterances come back in
-    manifest order.
+    Missing files are reported collectively, and so are files at another
+    rate; utterances come back in entry order.
     """
-    if not isinstance(manifest, CorpusManifest):
-        if sample_rate is None:
-            raise AudioIngestError("a declared sample rate is required to load a manifest")
-        manifest = parse_manifest(manifest, sample_rate)
-
-    missing = [str(e.path) for e in manifest.entries if not e.path.exists()]
+    if sample_rate <= 0:
+        raise AudioIngestError(f"declared sample rate must be positive, got {sample_rate}")
+    missing = [str(e.path) for e in entries if not e.path.exists()]
     if missing:
         raise AudioIngestError("missing corpus files: " + ", ".join(missing))
 
     utterances = []
     mismatched = []
-    for entry in manifest.entries:
+    for entry in entries:
         utt = load_wav(entry.path, utt_id=entry.id, label=entry.label, normalize=normalize)
-        if utt.sample_rate != manifest.sample_rate:
+        if utt.sample_rate != sample_rate:
             mismatched.append(f"{entry.path} ({utt.sample_rate} Hz)")
             continue
         utterances.append(utt)
     if mismatched:
         raise AudioIngestError(
-            f"sample rate mismatch against declared {manifest.sample_rate} Hz: "
-            + ", ".join(mismatched)
+            f"sample rate mismatch against declared {sample_rate} Hz: " + ", ".join(mismatched)
         )
     return utterances

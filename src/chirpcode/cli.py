@@ -29,7 +29,7 @@ from .adapt import (
     default_bounds,
     write_history_csv,
 )
-from .audio import CorpusManifest, ManifestEntry, load_corpus, parse_manifest, save_wav
+from .audio import ManifestEntry, load_corpus, parse_manifest, save_wav
 from .dictionary import (
     init_gammatone_dictionary,
     load_dictionary,
@@ -154,9 +154,9 @@ def _check_parent_dir(path, made=None) -> None:
 def _gather_utterances(manifest, wavs, sample_rate, normalize):
     """The utterances of a manifest, then of WAV paths named by their stems,
     loaded by load_corpus as one corpus at ``sample_rate``."""
-    entries = parse_manifest(manifest, sample_rate).entries if manifest else ()
+    entries = parse_manifest(manifest) if manifest else ()
     entries += tuple(ManifestEntry(Path(w), Path(w).stem, None) for w in wavs)
-    return load_corpus(CorpusManifest(entries, sample_rate), normalize=normalize)
+    return load_corpus(entries, sample_rate, normalize=normalize)
 
 
 # ---------------------------------------------------------------- build-dict

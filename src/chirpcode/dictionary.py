@@ -25,6 +25,7 @@ from .errors import (
     SynthesisError,
     config_value,
     is_integer,
+    number_array,
 )
 
 # Glasberg-Moore linear ERB map: erb(f) = ERB_OFFSET * (ERB_SLOPE * f + 1)
@@ -67,10 +68,7 @@ def gammachirp_parts(f, b, c, l, filter_len: int, sample_rate: float):
     (n_channels, filter_len) for 1-D inputs.
     """
     t = _time_grid(filter_len, sample_rate)
-    f = np.atleast_1d(np.asarray(f, dtype=float))[:, None]
-    b = np.atleast_1d(np.asarray(b, dtype=float))[:, None]
-    c = np.atleast_1d(np.asarray(c, dtype=float))[:, None]
-    l = np.atleast_1d(np.asarray(l, dtype=float))[:, None]
+    f, b, c, l = (np.atleast_1d(np.asarray(x, dtype=float))[:, None] for x in (f, b, c, l))
     log_t = np.log(t)
     env = t ** (l - 1.0) * np.exp(-2.0 * np.pi * b * erb(f.ravel())[:, None] * t)
     phase = 2.0 * np.pi * f * t + c * log_t
@@ -161,10 +159,12 @@ def make_dictionary(f, b, c, l, filter_len: int, stride: int, sample_rate) -> Di
     """Copy and validate the parameter arrays and geometry, synthesize the
     L2-normalized atoms, and assemble a Dictionary.
 
-    ``f``, ``b``, ``c`` and ``l`` are equal-length 1-D sequences, one entry
-    per channel. The dictionary holds read-only copies, so later changes to
-    the caller's arrays do not reach it. ``filter_len``, ``stride`` and
-    ``sample_rate`` must be integers (``is_integer``), so none is truncated.
+    ``f``, ``b``, ``c`` and ``l`` are equal-length 1-D sequences of numbers
+    (``errors.is_number``), one entry per channel; any other entry is a
+    ParameterError naming its channel and field. The dictionary holds
+    read-only copies, so later changes to the caller's arrays do not reach
+    it. ``filter_len``, ``stride`` and ``sample_rate`` must be integers
+    (``is_integer``), so none is truncated.
     """
     filter_len = config_value("filter_len", filter_len, int)
     stride = config_value("stride", stride, int)
@@ -174,7 +174,8 @@ def make_dictionary(f, b, c, l, filter_len: int, stride: int, sample_rate) -> Di
         raise ConfigError(f"stride must be in [1, filter_len], got {stride}")
     if not (is_integer(sample_rate) and sample_rate > 0):
         raise ConfigError(f"sample_rate must be a positive whole number of Hz, got {sample_rate}")
-    params = [np.array(x, dtype=float) for x in (f, b, c, l)]
+    params = [np.array(number_array(f"channel {{}}: {name}", x, float, ParameterError))
+              for name, x in zip("fbcl", (f, b, c, l))]
     if any(p.ndim != 1 or p.shape != params[0].shape for p in params):
         raise ConfigError(
             f"f, b, c and l must be equal-length 1-D arrays, got shapes "
@@ -389,7 +390,7 @@ def load_dictionary(path) -> Dictionary:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read dictionary file {path}: {exc}") from exc
     try:
-        params = {name: [float(ch[name]) for ch in payload["channels"]] for name in "fbcl"}
+        params = {name: [ch[name] for ch in payload["channels"]] for name in "fbcl"}
         return make_dictionary(
             **params, **{key: payload[key] for key in ("filter_len", "stride", "sample_rate")}
         )

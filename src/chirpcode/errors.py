@@ -6,6 +6,8 @@ Every failure raised by the library derives from ChirpcodeError so callers
 
 import numbers
 
+import numpy as np
+
 
 class ChirpcodeError(Exception):
     """Base class for all chirpcode failures."""
@@ -47,21 +49,50 @@ class AudioIngestError(ChirpcodeError):
     """A WAV file or corpus manifest could not be ingested."""
 
 
+def is_number(value, kind: type = float) -> bool:
+    """The one rule for what counts as a number: a real number, and for
+    ``kind`` int an integer or a float with no fractional part; numpy scalars
+    count, bool and str do not."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real) and (
+        kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()))
+
+
 def is_integer(value) -> bool:
-    """An integer, or a float with no fractional part; numpy scalars count,
-    bool and str do not."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
+    """``is_number(value, int)``."""
+    return is_number(value, int)
+
+
+_NOUNS = {float: "a number", int: "an integer"}
 
 
 def config_value(name: str, value, kind: type):
-    """``value`` as a Python ``kind``, float or int, or a ConfigError naming ``name``.
-
-    A float setting takes any real number and an int setting an integer
-    (``is_integer``); numpy scalars count, bool and str do not.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
-            kind is int and not is_integer(value)):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    """``value`` as a Python ``kind``, float or int, or a ConfigError naming ``name``."""
+    if not is_number(value, kind):
+        raise ConfigError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
     return kind(value)
+
+
+def number_array(name: str, values, kind: type, error: type) -> np.ndarray:
+    """``values`` as an int64 (``kind`` int) or float64 (``kind`` float) array,
+    or ``error`` for the first item that is not such a number (``is_number``)
+    or lies beyond the dtype's range.
+
+    An ndarray of integer dtype, or for float also of float dtype, passes
+    after that one test, as a solver's arrays do. Anything else is checked
+    item by item, since ``np.asarray([True, 2])`` is an integer array and
+    ``float("1")`` is 1.0. ``name`` is formatted with the item's flat
+    position, so ``"channel {}: f"`` names it.
+    """
+    dtype = np.int64 if kind is int else np.float64
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("iu" if kind is int else "iuf"):
+        return np.asarray(values, dtype=dtype)
+    items = np.asarray(values, dtype=object)
+    out = np.empty(items.size, dtype)
+    for i, value in enumerate(items.flat):
+        if not is_number(value, kind):
+            raise error(f"{name.format(i)} must be {_NOUNS[kind]}, got {value!r}")
+        try:
+            out[i] = value
+        except (OverflowError, ValueError) as exc:
+            raise error(f"{name.format(i)} out of range, got {value!r}") from exc
+    return out.reshape(items.shape)

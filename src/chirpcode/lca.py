@@ -49,6 +49,8 @@ from .errors import (
     SolverError,
     config_value,
     is_integer,
+    is_number,
+    number_array,
 )
 
 
@@ -111,33 +113,14 @@ class LcaState:
     eta: float = 0.1
 
 
-def _event_indices(name: str, indices) -> np.ndarray:
-    """``indices`` as int64, or a CodeError for one that is not an integer.
-
-    An integer array, as ``np.nonzero`` gives, passes without a look at each
-    event; anything else is checked item by item before conversion, since
-    ``np.asarray([True, 2])`` is an integer array.
-    """
-    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
-        return np.asarray(indices, dtype=np.int64)
-    items = np.asarray(indices, dtype=object)
-    for value in items.flat:
-        if not is_integer(value):
-            raise CodeError(f"{name} index must be an integer, got {value!r}")
-    try:
-        return items.astype(np.int64)
-    except OverflowError as exc:
-        raise CodeError(f"{name} index out of range: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class SparseCode:
     """A code as a set of (channel, frame, value) events, value != 0.
 
     Events are kept sorted by (channel, frame); ``lam`` records the threshold
-    of the run that produced the code. Shape and indices must be integers
-    (``is_integer``: a float with no fractional part counts, bool and str do
-    not), so nothing is truncated.
+    of the run that produced the code, a finite number >= 0. Shape and
+    indices must be integers, ``lam`` and the values numbers
+    (``errors.is_number``), so nothing is cast or truncated.
     """
 
     n_channels: int
@@ -153,9 +136,12 @@ class SparseCode:
             if not is_integer(value):
                 raise CodeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        ch = _event_indices("channel", self.channels)
-        fr = _event_indices("frame", self.frames)
-        val = np.asarray(self.values, dtype=float)
+        if not (is_number(self.lam) and math.isfinite(self.lam) and self.lam >= 0):
+            raise CodeError(f"lam must be a finite number >= 0, got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))
+        ch = number_array("channel index", self.channels, int, CodeError)
+        fr = number_array("frame index", self.frames, int, CodeError)
+        val = number_array("event value", self.values, float, CodeError)
         if not (ch.shape == fr.shape == val.shape and ch.ndim == 1):
             raise CodeError("channels, frames and values must be equal-length 1-D arrays")
         if ch.size:
@@ -186,13 +172,7 @@ class SparseCode:
     def from_dense(cls, a: np.ndarray, lam: float):
         a = np.asarray(a, dtype=float)
         ch, fr = np.nonzero(a)
-        return cls(
-            n_channels=int(a.shape[0]), n_frames=int(a.shape[1]),
-            lam=float(lam),
-            channels=ch,
-            frames=fr,
-            values=a[ch, fr],
-        )
+        return cls(a.shape[0], a.shape[1], lam, ch, fr, a[ch, fr])
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_channels, self.n_frames))
@@ -435,14 +415,8 @@ def load_code(path) -> SparseCode:
         with open(path) as fh:
             payload = json.load(fh)
         events = payload["events"]
-        return SparseCode(
-            n_channels=payload["n_channels"],
-            n_frames=payload["n_frames"],
-            lam=float(payload["lambda"]),
-            channels=[e[0] for e in events],
-            frames=[e[1] for e in events],
-            values=[e[2] for e in events],
-        )
+        return SparseCode(payload["n_channels"], payload["n_frames"], payload["lambda"],
+                          *([e[k] for e in events] for k in range(3)))
     except (OSError, ValueError, KeyError, IndexError, TypeError, CodeError) as exc:
         raise CodeError(f"cannot read code file {path}: {exc}") from exc
 

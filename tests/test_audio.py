@@ -92,26 +92,26 @@ class TestManifest:
 
     def test_load_in_manifest_order(self, tmp_path):
         manifest = self._corpus(tmp_path)
-        corpus = load_corpus(manifest, 16000)
+        corpus = load_corpus(parse_manifest(manifest), 16000)
         assert [u.id for u in corpus] == ["utt0", "utt1", "utt2"]
         assert [u.label for u in corpus] == ["digit0", "digit1", "digit2"]
 
     def test_empty_manifest_warns_not_errors(self, tmp_path):
         manifest = tmp_path / "empty.csv"
         manifest.write_text("path,id,label\n")
-        assert load_corpus(manifest, 16000) == []
+        assert load_corpus(parse_manifest(manifest), 16000) == []
 
     def test_rate_mismatch_names_file(self, tmp_path):
         manifest = self._corpus(tmp_path, rates=(16000, 48000, 16000))
         with pytest.raises(AudioIngestError, match="u1.wav"):
-            load_corpus(manifest, 16000)
+            load_corpus(parse_manifest(manifest), 16000)
 
     def test_missing_files_listed_collectively(self, tmp_path):
         manifest = self._corpus(tmp_path)
         (tmp_path / "u0.wav").unlink()
         (tmp_path / "u2.wav").unlink()
         with pytest.raises(AudioIngestError) as err:
-            load_corpus(manifest, 16000)
+            load_corpus(parse_manifest(manifest), 16000)
         assert "u0.wav" in str(err.value)
         assert "u2.wav" in str(err.value)
 
@@ -121,19 +121,19 @@ class TestManifest:
         manifest = tmp_path / "dup.csv"
         manifest.write_text(f"path,id,label\n{p.name},a,\n{p.name},b,\n")
         with pytest.raises(AudioIngestError, match="duplicate"):
-            parse_manifest(manifest, 16000)
+            parse_manifest(manifest)
 
     def test_missing_header_rejected(self, tmp_path):
         manifest = tmp_path / "nohdr.csv"
         manifest.write_text("u0.wav,a,\n")
         with pytest.raises(AudioIngestError, match="header"):
-            parse_manifest(manifest, 16000)
+            parse_manifest(manifest)
 
     def test_blank_id_defaults_to_stem(self, tmp_path):
         p = tmp_path / "named.wav"
         _write_int16(p, 16000, np.zeros(50))
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,id,label\n{p.name},,\n")
-        corpus = load_corpus(manifest, 16000)
+        corpus = load_corpus(parse_manifest(manifest), 16000)
         assert corpus[0].id == "named"
         assert corpus[0].label is None

@@ -557,6 +557,53 @@ class TestMalformedInputFiles:
                           f"{axis} index must be an integer, got {bad!r}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["decode", "export-events"])
+    @pytest.mark.parametrize("change", [
+        {"lambda": "0.1"}, {"lambda": float("nan")}, {"event_value": True}],
+        ids=["lambda_str", "lambda_nan", "value_bool"])
+    def test_code_number_that_is_not_a_number(self, capsys, tmp_path, command, change):
+        """Refused where a cast read "0.1" as 0.1 and true as 1.0; json reads NaN."""
+        dict_path, code_path, _ = self._files(capsys, tmp_path)
+        payload = json.loads(code_path.read_text())
+        if "event_value" in change:
+            payload["events"][0][2] = change["event_value"]
+        else:
+            payload.update(change)
+        code_path.write_text(json.dumps(payload))
+        before = sorted(tmp_path.rglob("*"))
+        argv = [command, str(code_path), "--out-dir", str(tmp_path / "out")]
+        if command == "decode":
+            argv += ["--dict", str(dict_path)]
+        code, _, stderr = _run(capsys, argv)
+        assert code == 1
+        assert stderr.startswith(f"error: cannot read code file {code_path}: ")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["encode", "benchmark", "adapt"])
+    @pytest.mark.parametrize("field, value", [("f", "100"), ("l", True)])
+    def test_dictionary_number_that_is_not_a_number(self, capsys, tmp_path, command, field,
+                                                    value):
+        """Refused where a cast read "100" as 100.0 and true as 1.0."""
+        dict_path, _, manifest = self._files(capsys, tmp_path)
+        payload = json.loads(dict_path.read_text())
+        payload["channels"][1][field] = value
+        dict_path.write_text(json.dumps(payload))
+        before = sorted(tmp_path.rglob("*"))
+        argv = {
+            "encode": ["encode", "--manifest", str(manifest), "--dict", str(dict_path),
+                       "--out-dir", str(tmp_path / "codes")],
+            "benchmark": ["benchmark", "--dict", f"x={dict_path}", "--manifest", str(manifest),
+                          "--out-prefix", str(tmp_path / "bench_"), "--jobs", "1"],
+            "adapt": ["adapt", "--dict", str(dict_path), "--manifest", str(manifest),
+                      "--out", str(tmp_path / "adapted.json"), "--epochs", "1",
+                      "--batch-size", "1", "--jobs", "1"],
+        }[command]
+        code, _, stderr = _run(capsys, argv)
+        assert code == 2
+        assert stderr == f"error: channel 1: {field} must be a number, got {value!r}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_empty_manifest_with_json_errors_is_one_json_line(self, capsys, tmp_path):
         """The whole of stderr, from a separate process: the JSON error and
         nothing logged before it."""

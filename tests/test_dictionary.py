@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ class TestMakeDictionary:
         assert (d.filter_len, d.stride) == (64, 32)
         assert type(d.filter_len) is int and type(d.stride) is int
         assert d.atoms.shape == (1, 64)
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("f", ["100"], "channel 0: f must be a number, got '100'"),
+        ("l", [4.0, True], "channel 1: l must be a number, got True"),
+        ("b", np.array([True, True]), "channel 0: b must be a number, got True"),
+        ("c", [[0.0, 1.0], [0.0]], r"channel 0: c must be a number, got \[0.0, 1.0\]"),
+        ("f", [None], "channel 0: f must be a number, got None"),
+    ], ids=["str", "bool", "bool_array", "ragged", "none"])
+    def test_parameter_that_is_not_a_number_is_named(self, field, bad, message):
+        """Not cast: "100" and True would otherwise load as 100.0 and 1.0."""
+        params = {"f": [500.0, 900.0], "b": [1.0, 1.0], "c": [0.0, 0.0], "l": [4.0, 4.0],
+                  field: bad}
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            make_dictionary(**params, filter_len=64, stride=32, sample_rate=8000)
 
     def test_dictionaries_and_kernels_compare_by_identity(self):
         d1, d2 = (init_gammatone_dictionary(3, 100.0, 400.0, 64, 32, 16000) for _ in range(2))
@@ -556,6 +571,18 @@ class TestDictionaryFile:
         assert all(type(x) is float for ch in channels for x in ch.values())
         for name in "fbcl":
             np.testing.assert_array_equal([ch[name] for ch in channels], getattr(d, name))
+
+    @pytest.mark.parametrize("index, field, value", [
+        (0, "f", "100"), (2, "l", True), (1, "c", None), (1, "b", [1.0])])
+    def test_parameter_that_is_not_a_number_is_refused_not_cast(self, tmp_path, index, field,
+                                                                 value):
+        payload = json.loads(GOLDEN_DICTIONARY_JSON)
+        payload["channels"][index][field] = value
+        path = tmp_path / "dict.json"
+        path.write_text(json.dumps(payload))
+        message = f"channel {index}: {field} must be a number, got {value!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            load_dictionary(path)
 
     def test_bad_channel_rejected_and_named(self, tmp_path):
         payload = json.loads(GOLDEN_DICTIONARY_JSON)

@@ -565,6 +565,67 @@ class TestSparseCodeIndices:
             load_code(path)
 
 
+
+class TestSparseCodeNumbers:
+    """Values and lam follow the number rule, and lam LcaConfig.lam's bound."""
+
+    @pytest.mark.parametrize("bad", [True, "0.5", b"0.5", None, np.array([True])],
+                             ids=["bool", "str", "bytes", "none", "bool_array"])
+    def test_value_that_is_not_a_number_is_refused(self, bad):
+        values = bad if isinstance(bad, np.ndarray) else [bad]
+        with pytest.raises(CodeError, match="^event value must be a number, got "):
+            SparseCode(4, 3, 0.1, [0], [0], values)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, "0.1", True, None])
+    def test_lam_that_is_not_a_finite_number_at_least_zero_is_refused(self, lam):
+        message = f"lam must be a finite number >= 0, got {lam!r}"
+        with pytest.raises(CodeError, match=f"^{re.escape(message)}$"):
+            SparseCode(4, 3, lam, [0], [0], [0.5])
+
+    def test_lam_is_kept_as_a_float(self):
+        code = SparseCode(4, 3, np.float32(0.25), [0], [0], [0.5])
+        assert code.lam == 0.25 and type(code.lam) is float
+        assert type(SparseCode(4, 3, 0, [0], [0], [0.5]).lam) is float
+
+    @pytest.mark.parametrize("change, message", [
+        ({"lambda": "0.1"}, "lam must be a finite number >= 0, got '0.1'"),
+        ({"lambda": True}, "lam must be a finite number >= 0, got True"),
+        ({"lambda": float("nan")}, "lam must be a finite number >= 0, got nan"),
+        ({"lambda": -0.5}, "lam must be a finite number >= 0, got -0.5"),
+        ({"events": [[2, 1, True]]}, "event value must be a number, got True"),
+        ({"events": [[2, 1, "0.5"]]}, "event value must be a number, got '0.5'"),
+    ])
+    def test_load_code_refuses_what_it_once_cast(self, tmp_path, change, message):
+        """json reads NaN too, so a file can hold every one of these."""
+        path = tmp_path / "u.code.json"
+        path.write_text(json.dumps(
+            {"n_channels": 4, "n_frames": 3, "lambda": 0.1, "events": [[2, 1, 0.5]], **change}))
+        with pytest.raises(CodeError, match=f"^cannot read code file {re.escape(str(path))}: "
+                                            f"{re.escape(message)}$"):
+            load_code(path)
+
+    def test_solver_arrays_take_no_per_item_check(self, monkeypatch, rng):
+        """A solver's code and the dictionaries init_gammatone_dictionary and
+        adamax_step give check only their scalars against the rule."""
+        from chirpcode import AdamaxState, AdaptConfig, ParamGradients, adamax_step, errors
+        from chirpcode import init_gammatone_dictionary
+
+        lca_cfg, adapt_cfg = LcaConfig(lam=0.05), AdaptConfig(mode="alca-cf")
+        checked = []
+        real = errors.is_number
+        monkeypatch.setattr(errors, "is_number", lambda *a: checked.append(a[0]) or real(*a))
+        d = init_gammatone_dictionary(16, 150.0, 3200.0, 64, 32, 8000)
+        assert checked == [64, 32, 8000]
+        checked.clear()
+        code, _ = encode(rng.standard_normal(640) * 0.5, d, lca_cfg)
+        assert code.n_events > 20 and checked == [16, 19]
+        checked.clear()
+        grads = ParamGradients(*(rng.standard_normal(16) for _ in range(4)))
+        stepped = adamax_step(d, grads, AdamaxState.zeros(16), adapt_cfg, 1)
+        checked.clear()  # adamax_step's default bounds are settings, checked as such
+        make_dictionary(**stepped, filter_len=64, stride=32, sample_rate=8000)
+        assert checked == [64, 32, 8000]
+
 class TestLcaConfigTypes:
     @pytest.mark.parametrize("kwargs, message", [
         ({"lam": "0.1"}, "lam must be a number, got '0.1'"),

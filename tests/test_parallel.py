@@ -47,6 +47,19 @@ class TestWorkers:
             pmap(math.sqrt, [(-1.0,)], 1)
         assert get_threads() == before
 
+    def test_blas_functions_are_looked_up_once_per_verb(self, monkeypatch):
+        """After the first lookup, no entry into the one-thread block reloads
+        numpy's extension; the answer, None included, is the same."""
+        found = {verb: openblas_threads_function(verb) for verb in ("get", "set")}
+
+        def no_reload(*args, **kwargs):
+            raise AssertionError("numpy's extension was loaded again")
+
+        monkeypatch.setattr(_parallel.ctypes, "CDLL", no_reload)
+        with _parallel.blas_on_one_thread():
+            assert pmap(math.sqrt, [(4.0,), (9.0,)], 1) == [2.0, 3.0]
+        assert {verb: openblas_threads_function(verb) for verb in found} == found
+
     def test_pmap_outside_a_block_runs_in_this_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("pmap started a pool outside a workers block")
