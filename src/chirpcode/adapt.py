@@ -267,9 +267,9 @@ def _reverse_pass(a_final, prev, kernel: GramKernel, weight: float, eta: float):
     steps = len(prev)
     live = np.flatnonzero(np.any([np.any(a, axis=1) for a in [a_final, *prev]], axis=0))
     m, t_frames = len(live), a_final.shape[1]
-    if m < a_final.shape[0]:
-        kernel = GramKernel(lags=kernel.lags.take(live, axis=1).take(live, axis=2),
-                            max_lag=kernel.max_lag)
+    lags = kernel.lags if m == a_final.shape[0] else kernel.lags.take(live, axis=1).take(live, axis=2)
+    # The dense lags alone: this pass does not apply the range factors.
+    kernel = GramKernel(lags=lags, max_lag=kernel.max_lag)
     # A step's frames and then max_lag zero columns, so that no lag reaches
     # from one step's frames into the next's.
     width = t_frames + kernel.max_lag

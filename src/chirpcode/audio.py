@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import AudioIngestError
+from .errors import AudioIngestError, is_number
 
 INT16_SCALE = 32768.0
 
@@ -33,8 +33,9 @@ class Utterance:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise AudioIngestError(f"utterance {self.id!r}: expected non-empty mono samples")
-        if self.sample_rate <= 0:
-            raise AudioIngestError(f"utterance {self.id!r}: sample rate must be positive")
+        if not (is_number(self.sample_rate, int) and self.sample_rate > 0):
+            raise AudioIngestError(f"utterance {self.id!r}: sample rate must be a positive "
+                                   f"whole number of Hz, got {self.sample_rate!r}")
         peak = float(np.max(np.abs(samples)))
         if not np.isfinite(peak) or peak > 1.0:
             raise AudioIngestError(

@@ -93,7 +93,7 @@ def corpus_signals(corpus, sample_rate):
         ids.append(getattr(item, "id", None) or f"utterance[{i}]")
         signals.append(np.asarray(getattr(item, "samples", item), dtype=float))
         rate = getattr(item, "sample_rate", None)
-        if rate is not None and int(rate) != int(sample_rate):
+        if rate is not None and rate != sample_rate:
             raise ConfigError(f"utterance {ids[-1]!r} has rate {rate}, expected {sample_rate}")
     if not ids:
         raise ConfigError("corpus is empty")

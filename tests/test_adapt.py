@@ -13,6 +13,7 @@ from chirpcode import (
     AudioIngestError,
     ConfigError,
     GradientError,
+    GramKernel,
     LcaConfig,
     LcaState,
     ParamBounds,
@@ -297,6 +298,21 @@ class TestReversePassOracle:
         fires[0] = False
         state = _synthetic_trace(rng, fires, 10)
         _assert_matches_stepwise_oracle(self._signal(rng, d, 10), d, state, 50)
+
+    def test_every_channel_live_stays_on_the_dense_lags(self, rng):
+        """With every channel live the pass gathers nothing. On a bank whose
+        kernel applies its range factors, it still sums the dense lags: the
+        gradient equals that of the factor-free kernel bit for bit."""
+        d = init_gammatone_dictionary(96, *default_bounds(8000).f, 128, 64, 8000)
+        assert d.kernel.factors is not None
+        state = _synthetic_trace(rng, np.ones((12, 96), dtype=bool), 9)
+        s = self._signal(rng, d, 9)
+        config = AdaptConfig(mode="alca-cf", alpha=0.7, tbptt_window=10)
+        dense = GramKernel(lags=d.kernel.lags, max_lag=d.kernel.max_lag)
+        got = energy_gradient(s, d, state, config)
+        want = energy_gradient(s, d, state, config, kernel=dense)
+        for name in ("c", "b", "l", "f"):
+            assert np.array_equal(got.get(name), want.get(name)), name
 
     def test_desk_bank_solve(self):
         """A real 300-iteration trace of the 64-channel desk bank, window 50."""

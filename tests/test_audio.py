@@ -75,6 +75,17 @@ class TestLoadWav:
         with pytest.raises(AudioIngestError):
             Utterance(id="x", samples=np.array([]), sample_rate=8000)
 
+    @pytest.mark.parametrize("rate", [16000.7, True, "16000", None, 0, -8000])
+    def test_rate_that_is_not_a_positive_whole_number_rejected(self, rate):
+        """16000.7 was accepted, and then coded with a 16000 Hz dictionary."""
+        with pytest.raises(AudioIngestError, match=f"^utterance 'x': sample rate must be a "
+                                                   f"positive whole number of Hz, got {rate!r}$"):
+            Utterance(id="x", samples=np.zeros(8), sample_rate=rate)
+
+    def test_whole_float_and_numpy_rates_accepted(self):
+        for rate in (16000.0, np.int64(16000)):
+            assert Utterance(id="x", samples=np.zeros(8), sample_rate=rate).sample_rate == 16000
+
 
 class TestManifest:
     def _corpus(self, tmp_path, rates=(16000, 16000, 16000)):

@@ -162,6 +162,29 @@ class TestEncodeDecode:
             ) + (out_dir / "encode_report.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_jobs_do_not_change_results_on_a_factored_bank(self, capsys, tmp_path):
+        """96 channels at 8 kHz, filter 128: the kernel applies its range
+        factors. Two runs at --jobs 1 and one at --jobs 2 write the same bytes."""
+        dict_path = tmp_path / "dict.json"
+        code, _, _ = _run(capsys, [
+            "build-dict", "--channels", "96", "--filter-len", "128", "--stride", "64",
+            "--sr", "8000", "--out", str(dict_path),
+        ])
+        assert code == 0
+        assert load_dictionary(dict_path).kernel.factors is not None
+        manifest = _make_corpus(tmp_path, sr=8000, n=3)
+        outputs = []
+        for jobs, name in (("1", "serial"), ("1", "again"), ("2", "parallel")):
+            out_dir = tmp_path / name
+            code, _, _ = _run(capsys, [
+                "encode", "--manifest", str(manifest), "--dict", str(dict_path),
+                "--out-dir", str(out_dir), "--lambda", "0.02", "--eta", "0.01", "--jobs", jobs,
+            ])
+            assert code == 0
+            outputs.append([(p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())])
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_jobs_two_starts_one_pool_for_two_frame_counts(self, capsys, monkeypatch, tmp_path):
         """The command's workers block starts the one pool, and the stacks of
         both frame counts run on it; the outputs are those of --jobs 1."""
@@ -601,7 +624,8 @@ class TestMalformedInputFiles:
         }[command]
         code, _, stderr = _run(capsys, argv)
         assert code == 2
-        assert stderr == f"error: channel 1: {field} must be a number, got {value!r}\n"
+        assert stderr == (f"error: cannot read dictionary file {dict_path}: "
+                          f"channel 1: {field} must be a number, got {value!r}\n")
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_empty_manifest_with_json_errors_is_one_json_line(self, capsys, tmp_path):

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from chirpcode import (
     CodeError,
     ConfigError,
+    GramKernel,
     ParameterError,
     SignalError,
     SparseCode,
     SynthesisError,
     apply_kernel,
+    default_bounds,
     erb,
     gram_kernel,
     init_gammatone_dictionary,
@@ -28,7 +30,7 @@ from chirpcode import (
     reconstruct,
     save_dictionary,
 )
-from chirpcode._parallel import blas_on_one_thread
+from chirpcode._parallel import blas_on_one_thread, openblas_threads_function
 from chirpcode.dictionary import gammachirp_parts, n_frames, overlap_add, signal_windows
 
 from conftest import random_toy_dictionary, sparse_activations
@@ -328,13 +330,107 @@ class TestGramKernel:
     @pytest.mark.parametrize("stack", [(), (1,), (20,)], ids=["2-D", "one-item", "20-item"])
     def test_apply_kernel_sums_as_the_zero_filled_lag_loop(self, rng, bank_16k, stack, t_frames):
         """At max_lag 1, starting from the lag-0 product keeps every bit of
-        the loop from lag -1 up into zeros, the signs of zeros included."""
+        the loop from lag -1 up into zeros, the signs of zeros included. The
+        dense operator is the factor-free kernel, as ``_reverse_pass`` builds
+        it; the 700-channel bank's own kernel applies its range factors."""
         d, k = bank_16k
+        k = GramKernel(lags=k.lags, max_lag=k.max_lag)
         a = sparse_activations(rng, (*stack, d.n_channels, t_frames))
         out, expected = apply_kernel(k, a), lag_loop_apply_kernel(k, a)
         assert k.max_lag == 1
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+@pytest.fixture(scope="module", params=[16000, 48000], ids=["16k", "48k"])
+def factored_bank(request):
+    """(dictionary, Gram kernel) of a 700-channel Gammatone bank whose kernel
+    applies its range factors: 16 kHz with filter 256 and stride 128, or the
+    paper's 48 kHz bank with filter 1024 and stride 512."""
+    geometry = {16000: (256, 128), 48000: (1024, 512)}[request.param]
+    f_range = (20.0, 21600.0) if request.param == 48000 else default_bounds(16000).f
+    d = init_gammatone_dictionary(700, *f_range, *geometry, request.param)
+    return d, gram_kernel(d)
+
+
+def _activations(rng, shape):
+    """About a quarter of the units active, in every frame."""
+    a = rng.standard_normal(shape)
+    a[np.abs(a) < 1.15] = 0.0
+    return a
+
+
+class TestRangeFactors:
+    @pytest.mark.parametrize("t_frames", [1, 2, 3, 30, 120])
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["2-D", "stacked"])
+    def test_apply_kernel_matches_the_lag_loop(self, rng, factored_bank, stack, t_frames):
+        d, k = factored_bank
+        a = _activations(rng, (*stack, d.n_channels, t_frames))
+        out, expected = apply_kernel(k, a), lag_loop_apply_kernel(k, a)
+        assert k.factors is not None
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_apply_kernel_is_self_adjoint(self, rng, factored_bank):
+        d, k = factored_bank
+        a, b = (_activations(rng, (d.n_channels, 40)) for _ in range(2))
+        ka, kb = apply_kernel(k, a), apply_kernel(k, b)
+        assert abs(np.vdot(ka, b) - np.vdot(a, kb)) <= 1e-13 * np.linalg.norm(ka) * np.linalg.norm(b)
+
+    def test_stack_items_are_bit_identical_to_lone_calls(self, rng, factored_bank):
+        d, k = factored_bank
+        a = _activations(rng, (4, d.n_channels, 30))
+        a[1] = 0.0
+        stacked = apply_kernel(k, a)
+        for item, out in zip(a, stacked):
+            assert np.array_equal(out, apply_kernel(k, item))
+
+    def test_factors_reproduce_every_lag(self, factored_bank):
+        """U has orthonormal columns and as many as the atoms' numerical rank;
+        U M_d U^T is lag d of the kernel, the identity added back at lag 0, to
+        rounding at the scale of the largest squared singular value."""
+        d, k = factored_bank
+        u, m = k.factors
+        n, r = u.shape
+        scale = np.linalg.norm(d.atoms, 2) ** 2
+        assert r == np.linalg.matrix_rank(d.atoms)
+        assert m.shape == (2 * k.max_lag + 1, r, r)
+        assert not u.flags.writeable and not m.flags.writeable
+        np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-13)
+        for lag in range(-k.max_lag, k.max_lag + 1):
+            assert np.array_equal(m[k.max_lag - lag], m[k.max_lag + lag].T)
+            lag_matrix = k.at_lag(lag) + (np.eye(n) if lag == 0 else 0.0)
+            np.testing.assert_allclose(u @ m[k.max_lag + lag] @ u.T, lag_matrix, rtol=0,
+                                       atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("n_channels, geometry, rate, factored", [
+        (64, (256, 128), 16000, False),  # the desk bank: r = 61 of 64
+        (32, (64, 32), 8000, False),
+        (96, (128, 64), 8000, True),  # r = 62 of 96
+        (256, (512, 256), 48000, True),
+    ])
+    def test_the_path_follows_the_flop_count(self, rng, n_channels, geometry, rate, factored):
+        """Factors exactly where 2*n*r + (2*max_lag + 1)*r^2 is below the
+        dense (2*max_lag + 1)*n^2; elsewhere apply_kernel keeps every bit of
+        the lag loop."""
+        d = init_gammatone_dictionary(n_channels, *default_bounds(rate).f, *geometry, rate)
+        k = gram_kernel(d)
+        r, n_lags = np.linalg.matrix_rank(d.atoms), 2 * k.max_lag + 1
+        assert (2 * n_channels * r + n_lags * r * r < n_lags * n_channels ** 2) == factored
+        assert (k.factors is not None) == factored
+        if not factored:
+            a = sparse_activations(rng, (3, n_channels, 30))
+            assert np.array_equal(apply_kernel(k, a), lag_loop_apply_kernel(k, a))
+
+    def test_built_on_first_application_not_by_gram_kernel(self, rng, factored_bank):
+        d, _ = factored_bank
+        k = gram_kernel(d)
+        assert "factors" not in vars(k)
+        apply_kernel(k, _activations(rng, (d.n_channels, 3)))
+        assert "factors" in vars(k) and k.factors is not None
+
+    def test_a_kernel_of_lags_alone_has_no_factors(self, factored_bank):
+        _, k = factored_bank
+        assert GramKernel(lags=k.lags, max_lag=k.max_lag).factors is None
 
 
 class TestDictionaryKernel:
@@ -352,6 +448,35 @@ class TestDictionaryKernel:
         assert got.max_lag == want.max_lag
         assert np.array_equal(got.lags, want.lags)
         assert not got.lags.flags.writeable
+
+    def test_factors_are_a_one_thread_build(self, factored_bank):
+        """Whatever the caller's thread count, d.kernel's factors are those
+        of a one-thread build, bit for bit."""
+        get_threads = openblas_threads_function("get")
+        set_threads = openblas_threads_function("set")
+        if get_threads is None or set_threads is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count function")
+        d, _ = factored_bank
+        with blas_on_one_thread():
+            want = gram_kernel(d).factors
+        before = get_threads()
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                got = dataclasses.replace(d).kernel
+                assert "factors" in vars(got)
+                assert all(np.array_equal(x, y) for x, y in zip(got.factors, want))
+        finally:
+            set_threads(before)
+
+    def test_pickled_kernel_carries_its_factors_read_only(self, factored_bank):
+        d, _ = factored_bank
+        k = dataclasses.replace(d).kernel
+        k2 = pickle.loads(pickle.dumps(k))
+        assert "factors" in vars(k2)
+        for got, want in zip(k2.factors, k.factors):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
 
     def test_replace_gives_a_fresh_kernel(self, rng):
         d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=8)
@@ -554,7 +679,8 @@ class TestDictionaryFile:
         payload[key] = value
         path = tmp_path / "dict.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match=f"^{message}"):
+        with pytest.raises(ConfigError,
+                           match=f"^cannot read dictionary file {re.escape(str(path))}: {message}"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("make", [
@@ -580,7 +706,8 @@ class TestDictionaryFile:
         payload["channels"][index][field] = value
         path = tmp_path / "dict.json"
         path.write_text(json.dumps(payload))
-        message = f"channel {index}: {field} must be a number, got {value!r}"
+        message = (f"cannot read dictionary file {path}: "
+                   f"channel {index}: {field} must be a number, got {value!r}")
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             load_dictionary(path)
 

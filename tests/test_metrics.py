@@ -1,5 +1,6 @@
 """SNR, sparsity, and benchmark aggregation."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -184,8 +185,10 @@ class TestBenchmark:
     def test_jobs_do_not_change_rows_on_a_threaded_bank(self):
         """256 channels at 48 kHz: OpenBLAS threads these products, and rounds
         them differently over two threads than over one. Jobs 1 solves both
-        utterances in this process, jobs 2 one in each worker."""
+        utterances in this process, jobs 2 one in each worker. The bank's
+        kernel applies its range factors (r = 138 of 256)."""
         d = init_gammatone_dictionary(256, 20.0, 21600.0, 512, 256, 48000)
+        assert d.kernel.factors is not None
         corpus = [Utterance(id=f"u{i}", samples=s, sample_rate=48000)
                   for i, s in enumerate(formant_corpus(3, 2, sample_rate=48000))]
         lca_cfg = LcaConfig(lam=0.01, eta=0.01, max_iters=40)
@@ -269,6 +272,24 @@ def _dictionary_as_received(ids, stack_signals, d):
     return [(os.getpid(), cached, writable, d.kernel.lags.flags.writeable) for _ in ids]
 
 
+class TestCorpusSignals:
+    def test_a_rate_is_compared_without_truncating(self):
+        """An item that declares 16000.7 Hz is not a 16000 Hz utterance."""
+        Utt = collections.namedtuple("Utt", "id samples sample_rate")
+        with pytest.raises(ConfigError, match="^utterance 'a' has rate 16000.7, expected 16000$"):
+            metrics.corpus_signals([Utt("a", np.zeros(400), 16000.7)], 16000)
+        ids, _ = metrics.corpus_signals([Utt("a", np.zeros(400), 16000.0)], 16000)
+        assert ids == ["a"]
+
+
+def _factors_as_received(ids, stack_signals, d):
+    """A stack's process, whether ``d.kernel`` came with its factors, and the
+    factors, which must be read-only."""
+    cached = "factors" in vars(d.kernel)
+    u, m = d.kernel.factors
+    return [(os.getpid(), cached, u.flags.writeable or m.flags.writeable, u, m) for _ in ids]
+
+
 class TestMapStacks:
     def test_one_kernel_per_call_built_before_the_map(self, rng, monkeypatch):
         """map_stacks builds d.kernel once, at one BLAS thread, before any
@@ -325,6 +346,22 @@ class TestMapStacks:
         finally:
             set_threads(before)
         assert np.array_equal(lags[0], lags[1])
+
+    def test_workers_receive_the_factors_built_before_the_map(self):
+        """On a bank whose kernel applies its range factors, map_stacks builds
+        them with d.kernel in the calling process, and the workers receive
+        them read-only and bit for bit, so no worker factors anything."""
+        from chirpcode import default_bounds
+
+        d = init_gammatone_dictionary(96, *default_bounds(8000).f, 128, 64, 8000)
+        with workers(2):
+            results = metrics.map_stacks(_factors_as_received, ["a", "b"],
+                                         [np.zeros(2000)] * 2, d, 2)
+        u, m = d.kernel.factors
+        assert os.getpid() not in {pid for pid, *_ in results}
+        for _, cached, writable, got_u, got_m in results:
+            assert cached and not writable
+            assert np.array_equal(got_u, u) and np.array_equal(got_m, m)
 
     def test_workers_receive_the_kernel_with_read_only_arrays(self, rng):
         """Pool workers unpickle d with its kernel already built, and with
