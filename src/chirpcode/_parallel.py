@@ -2,15 +2,17 @@
 
 ``workers(jobs)`` is the one place that starts worker processes: a corpus
 call opens one pool for its whole run, every ``pmap`` inside the block
-reuses it, and ``pmap`` outside a block runs in this process. Each worker
-runs BLAS on one thread, so ``jobs`` workers keep ``jobs`` CPUs busy. The
-products a corpus call runs in this process, the items ``pmap`` runs here
-and each dictionary's ``Dictionary.kernel``, run inside
-``blas_on_one_thread`` too, for two reasons. OpenBLAS splits a large product
-differently over two threads than over one, so the rounding, and with it
-every output, would otherwise depend on ``jobs`` and on the caller's thread
-count. And after a product that woke its second thread, that thread
-busy-waits for about 0.1 s before it sleeps, on a CPU the workers need.
+reuses it, and ``pmap`` outside a block runs in this process, on one thread
+per CPU the process may use. Each worker runs BLAS on one thread, so
+``jobs`` workers keep ``jobs`` CPUs busy; ``concurrency`` says how many
+things run at once, so that a corpus is split for them. The products a
+corpus call runs in this process, the items ``pmap`` runs here and each
+dictionary's ``Dictionary.kernel``, run inside ``blas_on_one_thread`` too,
+for two reasons. OpenBLAS splits a large product differently over two
+threads than over one, so the rounding, and with it every output, would
+otherwise depend on ``jobs`` and on the caller's thread count. And after a
+product that woke its second thread, that thread busy-waits for about
+0.1 s before it sleeps, on a CPU the workers need.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import contextvars
 import ctypes
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from .errors import ConfigError
 
@@ -53,9 +55,21 @@ def default_jobs() -> int:
         if jobs < 1:
             raise ConfigError(f"CHIRPCODE_JOBS must be an integer >= 1, got {env!r}")
         return jobs
+    return usable_cpus()
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may use: its affinity mask where the platform
+    has one (``taskset`` narrows it), else the machine's CPU count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def concurrency(jobs: int) -> int:
+    """How many stacks of a corpus call at ``jobs`` run at once: ``jobs``
+    worker processes, or at ``jobs <= 1`` one ``pmap`` thread per usable CPU."""
+    return jobs if jobs > 1 else usable_cpus()
 
 
 @functools.cache
@@ -138,11 +152,20 @@ def pmap(fn, items, jobs: int):
     """``[fn(*args) for args in items]``, over the pool of the open ``workers`` block.
 
     With no open block, ``jobs <= 1`` or a single item, everything runs in
-    this process, at one BLAS thread as in a worker. ``pmap`` never starts a
+    this process, at one BLAS thread as in a worker: on one thread per usable
+    CPU, or in the calling thread for one item or one CPU. The earliest
+    failing item's error is raised, as in a loop, and cancels the items not
+    yet started. The threads are joined before ``pmap`` returns or raises,
+    so no later ``workers`` block forks beside them. ``pmap`` never starts a
     process itself.
     """
     items = list(items)
-    if _open_pool.get() is None or jobs <= 1 or len(items) <= 1:
-        with blas_on_one_thread():
+    pool = _open_pool.get()
+    if pool is not None and jobs > 1 and len(items) > 1:
+        return list(pool.map(fn, *zip(*items)))
+    threads = min(len(items), usable_cpus())
+    with blas_on_one_thread():
+        if threads <= 1:
             return [fn(*args) for args in items]
-    return list(_open_pool.get().map(fn, *zip(*items)))
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            return list(executor.map(fn, *zip(*items)))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import pmap, workers
+from ._parallel import concurrency, pmap, workers
 from .dictionary import Dictionary, n_frames, reconstruct
 from .errors import AudioIngestError, ChirpcodeError, ConfigError, SignalError
 from .lca import LcaConfig, SparseCode, encode_many
@@ -136,10 +136,12 @@ def corpus_stacks(signals, d: Dictionary, jobs: int, trace_window: int = 0):
 
     A stack's solver arrays, with the ``trace_window`` iterations each solve
     records, hold at most STACK_ELEMENTS elements. Each frame count is split
-    into at least ``jobs`` near-equal stacks (one per utterance if it has
-    fewer), so ``jobs`` workers have work each. Signals too short for one
-    frame share a group; each fails alone.
+    into at least ``concurrency(jobs)`` near-equal stacks (one per utterance
+    if it has fewer), so that each of the ``jobs`` workers, or at ``jobs <=
+    1`` each of ``pmap``'s threads, has work. Signals too short for one frame
+    share a group; each fails alone.
     """
+    width = concurrency(jobs)
     groups = {}
     for index, s in enumerate(signals):
         try:
@@ -151,7 +153,7 @@ def corpus_stacks(signals, d: Dictionary, jobs: int, trace_window: int = 0):
     for frames, members in groups.items():
         cells = d.n_channels * max(frames, 1) * (trace_window + 1)
         per_stack = max(1, STACK_ELEMENTS // cells)
-        count = max(-(-len(members) // per_stack), min(jobs, len(members)))
+        count = max(-(-len(members) // per_stack), min(width, len(members)))
         stacks += [chunk.tolist() for chunk in np.array_split(members, count)]
     return stacks
 
@@ -165,12 +167,13 @@ def reports_and_codes(*args):
 def map_stacks(fn, ids, signals, d, jobs, *args, trace_window=0):
     """Run ``fn(stack_ids, stack_signals, d, *args)`` on each stack of
     ``corpus_stacks(signals, d, jobs, trace_window)``, over the open ``workers``
-    pool if any; results come back in corpus order. ``d.kernel`` is built
-    first, here in the calling process and at one BLAS thread, so the workers
-    receive it with ``d`` and build none, and no BLAS thread of the caller
-    spins while they compute.
+    pool if any, else on ``pmap``'s threads; results come back in corpus
+    order. ``d.kernel`` is built first, here in the calling thread and at one
+    BLAS thread, so the workers receive it with ``d`` and build none, no two
+    threads build it at once, and no BLAS thread of the caller spins while
+    they compute.
     """
-    d.kernel  # built here, before the pool, so that d carries it to the workers
+    d.kernel  # built here, before the pool or threads, so that d carries it to the workers
     stacks = corpus_stacks(signals, d, jobs, trace_window)
     tasks = [([ids[i] for i in stack], [signals[i] for i in stack], d, *args)
              for stack in stacks]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,17 @@ def bank_16k(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: for the rest of the test, ``os.sched_getaffinity`` says
+    this process may use n CPUs, so in-process corpus work runs on n threads."""
+
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return pin
 
 
 def pytest_configure(config):

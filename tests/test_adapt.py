@@ -555,9 +555,10 @@ class TestAdaptCorpus:
             adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs)
         assert multiprocessing.active_children() == []
 
-    def test_results_do_not_depend_on_the_stacks(self, rng, monkeypatch):
+    def test_results_do_not_depend_on_the_stacks(self, rng, monkeypatch, cpus):
         """Two frame counts, and stacks from one per utterance to one per frame
-        count, at one and two jobs: the same parameters, atoms and history."""
+        count, at one job on one and two CPUs and at two jobs: the same
+        parameters, atoms and history."""
         d0 = self._dict()
         corpus = _tiny_corpus(rng, d0, n=4) + _tiny_corpus(rng, d0, n=3, length=48)
         cfg = AdaptConfig(
@@ -568,7 +569,9 @@ class TestAdaptCorpus:
         # 3 * 8 * 11 * 2 holds two 8-frame or three 5-frame solves with their history.
         for elements in (metrics.STACK_ELEMENTS, 1, 3 * 8 * 11 * 2):
             monkeypatch.setattr(metrics, "STACK_ELEMENTS", elements)
-            runs += [adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs) for jobs in (1, 2)]
+            for jobs, n_cpus in ((1, 1), (1, 2), (2, 2)):
+                cpus(n_cpus)
+                runs.append(adapt_corpus(corpus, d0, self._lca(), cfg, jobs=jobs))
         d1, h1 = runs[0]
         assert len(h1) == 2 and not np.array_equal(d1.f, d0.f)
         for d, h in runs[1:]:
@@ -577,10 +580,12 @@ class TestAdaptCorpus:
                 assert np.array_equal(getattr(d, name), getattr(d1, name))
 
     @pytest.mark.parametrize("window, sizes", [(11, [1] * 5), (5, [2, 2, 1]), (2, [3, 2])])
-    def test_stacks_are_capped_with_the_recorded_iterations(self, rng, monkeypatch,
+    def test_stacks_are_capped_with_the_recorded_iterations(self, rng, monkeypatch, cpus,
                                                               window, sizes):
         """A cap of 12 solver arrays of 3 channels by 8 frames: a solve that
-        records ``window`` iterations takes window + 1 of them."""
+        records ``window`` iterations takes window + 1 of them. One CPU, so
+        the stacks run one after another, in order."""
+        cpus(1)
         d0 = self._dict()
         corpus = _tiny_corpus(rng, d0, n=5)
         monkeypatch.setattr(metrics, "STACK_ELEMENTS", 3 * 8 * 12)

@@ -144,13 +144,14 @@ class TestEncodeDecode:
         recon = load_wav(decoded_dir / "planted.wav")
         assert snr(original.samples, recon.samples) >= 40.0
 
-    def test_jobs_do_not_change_results(self, capsys, tmp_path):
-        """Worker processes only spread the per-utterance map; outputs are
-        byte-identical to the serial path."""
+    def test_jobs_do_not_change_results(self, capsys, tmp_path, cpus):
+        """Worker processes and in-process threads only spread the
+        per-utterance map; outputs are byte-identical to the serial path."""
         dict_path = _build_small_dict(capsys, tmp_path)
         manifest = _make_corpus(tmp_path, sr=8000, n=3)
         outputs = []
-        for jobs, name in (("1", "serial"), ("2", "parallel")):
+        for jobs, n_cpus, name in (("1", 1, "serial"), ("1", 2, "threads"), ("2", 2, "parallel")):
+            cpus(n_cpus)
             out_dir = tmp_path / name
             code, _, _ = _run(capsys, [
                 "encode", "--manifest", str(manifest), "--dict", str(dict_path),
@@ -160,11 +161,12 @@ class TestEncodeDecode:
             outputs.append(b"".join(
                 sorted(p.read_bytes() for p in out_dir.glob("*.code.json"))
             ) + (out_dir / "encode_report.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_jobs_do_not_change_results_on_a_factored_bank(self, capsys, tmp_path):
+    def test_jobs_do_not_change_results_on_a_factored_bank(self, capsys, tmp_path, cpus):
         """96 channels at 8 kHz, filter 128: the kernel applies its range
-        factors. Two runs at --jobs 1 and one at --jobs 2 write the same bytes."""
+        factors. Runs at --jobs 1 on one and two CPUs and one at --jobs 2
+        write the same bytes."""
         dict_path = tmp_path / "dict.json"
         code, _, _ = _run(capsys, [
             "build-dict", "--channels", "96", "--filter-len", "128", "--stride", "64",
@@ -174,7 +176,8 @@ class TestEncodeDecode:
         assert load_dictionary(dict_path).kernel.factors is not None
         manifest = _make_corpus(tmp_path, sr=8000, n=3)
         outputs = []
-        for jobs, name in (("1", "serial"), ("1", "again"), ("2", "parallel")):
+        for jobs, n_cpus, name in (("1", 1, "serial"), ("1", 2, "threads"), ("2", 2, "parallel")):
+            cpus(n_cpus)
             out_dir = tmp_path / name
             code, _, _ = _run(capsys, [
                 "encode", "--manifest", str(manifest), "--dict", str(dict_path),

@@ -319,6 +319,23 @@ class TestMapStacks:
         assert all(dd is d and kernel is kernels[0] and extra == "x"
                    for _, dd, kernel, extra in results)
 
+    def test_one_job_runs_a_stack_per_cpu_on_threads(self, rng, cpus):
+        """At one job, map_stacks splits a frame count into a stack per CPU
+        this process may use and solves them in this process; the results
+        come back in corpus order."""
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = TestCorpusStacks()._signals(d, [3] * 4)
+
+        def fn(ids, stack_signals, dd):
+            return [(uid, tuple(ids), os.getpid()) for uid in ids]
+
+        for n, stacks in ((1, [tuple("abcd")]), (2, [tuple("ab"), tuple("cd")])):
+            cpus(n)
+            results = metrics.map_stacks(fn, list("abcd"), signals, d, 1)
+            assert [uid for uid, *_ in results] == list("abcd")
+            assert sorted({ids for _, ids, _ in results}) == stacks
+            assert {pid for *_, pid in results} == {os.getpid()}
+
     def test_kernel_bits_do_not_depend_on_the_callers_blas_threads(self):
         """On a 700-channel 16 kHz bank, where a product split over two
         OpenBLAS threads rounds differently from one, the d.kernel map_stacks
@@ -376,8 +393,24 @@ class TestMapStacks:
 
 
 class TestCorpusStacks:
+    @pytest.fixture(autouse=True)
+    def _one_cpu(self, cpus):
+        cpus(1)
+
     def _signals(self, d, frames):
         return [np.zeros((t - 1) * d.stride + d.filter_len) for t in frames]
+
+    def test_each_frame_count_is_split_for_what_runs_at_once(self, rng, cpus):
+        """At one job, for pmap's threads, one per CPU this process may use;
+        at two jobs or more, for the workers, whatever the CPU count."""
+        d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
+        signals = self._signals(d, [3] * 4 + [5])
+        cpus(2)
+        assert corpus_stacks(signals, d, jobs=1) == [[0, 1], [2, 3], [4]]
+        assert corpus_stacks(signals, d, jobs=3) == [[0, 1], [2], [3], [4]]
+        cpus(4)
+        assert corpus_stacks(signals, d, jobs=1) == [[0], [1], [2], [3], [4]]
+        assert corpus_stacks(signals, d, jobs=2) == [[0, 1], [2, 3], [4]]
 
     def test_one_stack_per_frame_count_at_one_job(self, rng):
         d = random_toy_dictionary(rng, n_channels=4, filter_len=32, stride=16)
