@@ -1,7 +1,13 @@
 """WAV ingestion and corpus manifests.
 
-Only mono RIFF WAV files are accepted, PCM 16-bit or IEEE 32-bit float, and
-no resampling ever happens: an utterance whose rate differs from the declared
+WAV files are read and written by a small RIFF codec of its own, built on
+``struct`` and numpy. It reads mono little-endian RIFF WAVE files, PCM 16-bit
+or IEEE 32-bit float, in a plain or a ``WAVE_FORMAT_EXTENSIBLE`` ``fmt ``
+chunk; every other chunk is skipped, with its pad byte. Anything else (RIFX
+or RF64, another sample encoding, more than one channel, a missing ``fmt `` or
+``data`` chunk, a chunk that runs past the end of the file) is an
+``AudioIngestError`` naming the file and the reason. It writes 32-bit float.
+No resampling ever happens: an utterance whose rate differs from the declared
 corpus rate is an error, because silently resampling would change what the
 dictionary's filters mean.
 """
@@ -9,15 +15,32 @@ dictionary's filters mean.
 from __future__ import annotations
 
 import csv
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import AudioIngestError, is_number
 
 INT16_SCALE = 32768.0
+
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# The sample encodings read, by (format tag, bits per sample).
+_ENCODINGS = {(_PCM, 16): np.dtype("<i2"), (_IEEE_FLOAT, 32): np.dtype("<f4")}
+# A WAVE_FORMAT_EXTENSIBLE sub-format GUID is the format tag followed by
+# these 12 bytes (RFC 2361).
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_CHUNK = struct.Struct("<4sI")
+_FMT = struct.Struct("<HHIIHH")
+# What save_wav writes before the samples: RIFF header, an 18-byte ``fmt ``
+# chunk (IEEE float, mono, cbSize 0), ``fact`` (the sample count), then the
+# ``data`` chunk header.
+_FLOAT32_HEADER = struct.Struct("<4sI4s" "4sIHHIIHHH" "4sII" "4sI")
+# The header's byte-rate field holds 4 * rate, and its RIFF size field the
+# file's length less 8, in 32 bits each.
+_MAX_RATE = 0xFFFFFFFF // 4
+_MAX_SAMPLES = (0xFFFFFFFF - (_FLOAT32_HEADER.size - 8)) // 4
 
 
 @dataclass(frozen=True)
@@ -53,6 +76,64 @@ class ManifestEntry:
     label: str | None
 
 
+def _read_fmt(path, body: bytes) -> tuple:
+    """(sample rate, sample dtype) of a ``fmt `` chunk's body."""
+    if len(body) < _FMT.size:
+        raise AudioIngestError(f"{path}: 'fmt ' chunk of {len(body)} bytes, expected at least 16")
+    tag, channels, rate, byte_rate, block_align, bits = _FMT.unpack_from(body)
+    if tag == _EXTENSIBLE:
+        if len(body) < 40 or struct.unpack_from("<H", body, 16)[0] < 22:
+            raise AudioIngestError(f"{path}: WAVE_FORMAT_EXTENSIBLE 'fmt ' chunk without "
+                                   "its 22-byte extension")
+        guid = body[24:40]
+        if guid[4:] != _GUID_TAIL:
+            raise AudioIngestError(f"{path}: unsupported sub-format GUID {guid.hex()}; "
+                                   "use PCM 16-bit or 32-bit float")
+        tag = struct.unpack_from("<I", guid)[0]
+    if channels != 1:
+        raise AudioIngestError(f"{path}: {channels}-channel audio is not supported, expected mono")
+    dtype = _ENCODINGS.get((tag, bits))
+    if dtype is None:
+        kind = {_PCM: "PCM", _IEEE_FLOAT: "IEEE float"}.get(tag, f"format tag {tag:#06x}")
+        raise AudioIngestError(f"{path}: unsupported sample encoding {kind} {bits}-bit; "
+                               "use PCM 16-bit or 32-bit float")
+    if block_align != dtype.itemsize:
+        raise AudioIngestError(f"{path}: block align {block_align} does not fit mono "
+                               f"{bits}-bit samples")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise AudioIngestError(f"{path}: byte rate {byte_rate} is not sample rate {rate} "
+                               f"times block align {block_align}")
+    return rate, dtype
+
+
+def _read_wav(path, buf: bytes) -> tuple:
+    """(sample rate, samples) of a WAV file's bytes ``buf``; the samples are a
+    read-only view of ``buf`` in the file's dtype."""
+    if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        if buf[:4] in (b"RIFX", b"RF64"):
+            raise AudioIngestError(f"{path}: {buf[:4].decode()} files are not supported, "
+                                   "expected a little-endian RIFF WAVE file")
+        raise AudioIngestError(f"{path}: not a RIFF WAVE file")
+    fmt = None
+    pos = 12
+    while pos + _CHUNK.size <= len(buf):
+        chunk_id, size = _CHUNK.unpack_from(buf, pos)
+        pos += _CHUNK.size
+        if pos + size > len(buf):
+            raise AudioIngestError(f"{path}: {chunk_id.decode('latin-1')!r} chunk of {size} "
+                                   f"bytes runs past the end of the file ({len(buf) - pos} left)")
+        if chunk_id == b"fmt ":
+            fmt = _read_fmt(path, buf[pos:pos + size])
+        elif chunk_id == b"data":
+            if fmt is None:
+                break
+            rate, dtype = fmt
+            return rate, np.frombuffer(buf, dtype, size // dtype.itemsize, pos)
+        pos += size + size % 2
+    raise AudioIngestError(f"{path}: no 'fmt ' chunk before the 'data' chunk" if fmt is None
+                           else f"{path}: no 'data' chunk")
+
+
 def load_wav(path, *, utt_id: str | None = None, label: str | None = None,
              normalize: bool = False) -> Utterance:
     """Decode one mono WAV file (PCM 16-bit or 32-bit float) into an Utterance.
@@ -62,24 +143,16 @@ def load_wav(path, *, utt_id: str | None = None, label: str | None = None,
     """
     path = Path(path)
     try:
-        rate, data = wavfile.read(str(path))
+        buf = path.read_bytes()
     except FileNotFoundError:
         raise AudioIngestError(f"{path}: file not found") from None
-    except Exception as exc:
-        raise AudioIngestError(f"{path}: cannot decode WAV ({exc})") from exc
-    if data.ndim != 1:
-        raise AudioIngestError(
-            f"{path}: {data.shape[1]}-channel audio is not supported, expected mono"
-        )
+    except OSError as exc:
+        raise AudioIngestError(f"{path}: cannot read ({exc.strerror})") from exc
+    rate, data = _read_wav(path, buf)
     if data.dtype == np.int16:
         samples = data.astype(float) / INT16_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(float)
     else:
-        raise AudioIngestError(
-            f"{path}: unsupported sample encoding {data.dtype}; "
-            "use PCM 16-bit or 32-bit float"
-        )
+        samples = data.astype(float)
     if normalize:
         peak = float(np.max(np.abs(samples))) if samples.size else 0.0
         if peak > 0.0:
@@ -87,17 +160,40 @@ def load_wav(path, *, utt_id: str | None = None, label: str | None = None,
     return Utterance(
         id=utt_id if utt_id is not None else path.stem,
         samples=samples,
-        sample_rate=int(rate),
+        sample_rate=rate,
         label=label,
     )
 
 
 def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write a mono signal as a 32-bit float WAV file."""
+    """Write a mono signal as a 32-bit float WAV file.
+
+    The file holds a ``fmt `` chunk with cbSize 0, a ``fact`` chunk and the
+    ``data`` chunk: the bytes ``scipy.io.wavfile.write`` writes for a mono
+    float32 array. ``sample_rate`` must be a positive whole number of Hz
+    (``errors.is_number``) that the header's 32-bit byte-rate field can hold.
+    """
+    if not (is_number(sample_rate, int) and sample_rate > 0):
+        raise AudioIngestError(f"{path}: sample rate must be a positive whole number of Hz, "
+                               f"got {sample_rate!r}")
+    if sample_rate > _MAX_RATE:
+        raise AudioIngestError(f"{path}: sample rate {sample_rate!r} Hz does not fit a WAV "
+                               f"header, at most {_MAX_RATE}")
     samples = np.asarray(samples, dtype=np.float32)
     if samples.ndim != 1:
-        raise AudioIngestError(f"expected a mono signal, got shape {samples.shape}")
-    wavfile.write(str(path), int(sample_rate), samples)
+        raise AudioIngestError(f"{path}: expected a mono signal, got shape {samples.shape}")
+    if samples.size > _MAX_SAMPLES:
+        raise AudioIngestError(f"{path}: {samples.size} samples do not fit a RIFF WAV file, "
+                               f"at most {_MAX_SAMPLES}")
+    rate, nbytes = int(sample_rate), 4 * samples.size
+    header = _FLOAT32_HEADER.pack(
+        b"RIFF", _FLOAT32_HEADER.size - 8 + nbytes, b"WAVE",
+        b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
+        b"fact", 4, samples.size,
+        b"data", nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(samples.astype("<f4", copy=False).tobytes())
 
 
 def parse_manifest(path) -> tuple:

@@ -185,7 +185,17 @@ def threshold(v: np.ndarray, lam: float) -> np.ndarray:
     if lam < 0:
         raise ConfigError(f"threshold must be >= 0, got {lam}")
     v = np.asarray(v, dtype=float)
-    return np.where(np.abs(v) < lam, 0.0, v)
+    if lam == 0:
+        # Nothing is zeroed, and the += 0.0 below would turn a -0.0 of v into +0.0.
+        return v.copy()
+    # v * (|v| >= lam) in one new array, without np.where's branches; the
+    # closing += 0.0 turns the -0.0 a negative v times 0 leaves into +0.0, as
+    # np.where writes it.
+    a = np.abs(v)
+    np.greater_equal(a, lam, out=a)
+    a *= v
+    a += 0.0
+    return a
 
 
 def trace_energy(s: np.ndarray, a: np.ndarray, d: Dictionary, lam: float) -> float:

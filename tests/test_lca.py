@@ -47,6 +47,18 @@ class TestThreshold:
         """|v| < lam is strict, so v == lam lands in the pass-through branch."""
         assert threshold(np.array([1.0]), 1.0)[0] == 1.0
 
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 0.5, 1.0, np.inf])
+    def test_bits_equal_np_where(self, rng, lam):
+        """The same float bits as ``np.where(|v| < lam, 0.0, v)``: -0.0 where
+        a zero is written reads +0.0, NaN passes, and a new array comes back."""
+        v = np.concatenate([rng.standard_normal(200), [0.0, -0.0, np.nan, np.inf, -np.inf,
+                                                       1.0, -1.0, 0.5, -0.5, 5e-324, -5e-324]])
+        ref = np.where(np.abs(v) < lam, 0.0, v)
+        out = threshold(v, lam)
+        assert out is not v
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+
     @settings(max_examples=100, deadline=None)
     @given(
         v=st.floats(min_value=-10, max_value=10),
